@@ -29,7 +29,7 @@ from .memd import (
 )
 from .epemd import LinoepStage, epemd, epmemd, orthogonalize_stage, verify_linoep
 from .gsom import GsomResult, gram_schmidt, imf_property_report, orthogonal_variants
-from .hsa import AnalyticAttributes, HilbertSpectrum, analytic_signal, hilbert_spectrum, marginal_spectrum, spectral_ridge
+from .hsa import AnalyticAttributes, HilbertSpectrum, analytic_signal, hilbert_spectrum, spectral_ridge
 from .metrics import OrthoReport, ortho_report, pee_identity_check
 from .significance import (
     ConfidenceBand,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -30,10 +29,10 @@ from .core import (
     Variant,
 )
 from .emd import EemdConfig, SiftConfig, eemd, emd
-from .epemd import epemd, epmemd
+from .epemd import epemd, epmemd, verify_linoep
 from .gsom import orthogonal_variants
 from .hsa import hilbert_spectrum
-from .memd import MultivariateDecomposition, MultivariateSignal, memd
+from .memd import MultivariateSignal, memd
 from .metrics import ortho_report
 from .siggen import (
     CHIRP_TF_PRESET,
@@ -148,22 +147,29 @@ POST_VARIANTS = {
     "rouimf": Variant.ROUIMF,
 }
 
+GRAM_SCHMIDT_VARIANTS = frozenset(POST_VARIANTS.values())
+MULTIVARIATE_ALGOS = ("memd", "epmemd")
+
 OUTPUTS = ("imfs", "report", "spectrum", "marginal", "significance", "sweep")
 
 
-def _decompose_univariate(x: SampledSignal, algo: str, post: str | None,
-                          scfg: SiftConfig, ecfg: EemdConfig) -> Decomposition:
-    if algo == "emd":
-        d = emd(x, scfg)
+def _decompose(signal: MultivariateSignal, algo: str, post: str | None, K: int,
+               scfg: SiftConfig, ecfg: EemdConfig) -> tuple[Decomposition, ...]:
+    """One decomposition per channel; a univariate algorithm gives one."""
+    x = signal.channels[0]
+    if algo == "memd":
+        channels = memd(signal, K, scfg).channels
+    elif algo == "epmemd":
+        channels = epmemd(signal, K, scfg).channels
+    elif algo == "emd":
+        channels = (emd(x, scfg),)
     elif algo == "eemd":
-        d = eemd(x, scfg, ecfg)
-    elif algo == "epemd":
-        d = epemd(x, scfg)
-    else:  # pragma: no cover - guarded by argparse choices
-        raise CliError(f"unknown algorithm {algo}")
+        channels = (eemd(x, scfg, ecfg),)
+    else:
+        channels = (epemd(x, scfg),)
     if post is not None:
-        d = orthogonal_variants(d, POST_VARIANTS[post])
-    return d
+        channels = tuple(orthogonal_variants(d, POST_VARIANTS[post]) for d in channels)
+    return channels
 
 
 def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
@@ -195,27 +201,19 @@ def _csv_signal(x: MultivariateSignal, labels: list[str],
     return "\n".join(lines) + "\n"
 
 
-def _component_table(d: Decomposition) -> tuple[MultivariateSignal, list[str], dict]:
-    comps = list(d.imfs) + [d.residue]
-    labels = [f"{d.variant.value.lower()}{i}" for i in range(1, len(d.imfs) + 1)]
-    labels.append("residue")
-    meta = {"variant": d.variant.value, "dc_constant": _fmt(d.dc_constant)}
-    return MultivariateSignal(tuple(comps)), labels, meta
-
-
-def _multivariate_table(d: MultivariateDecomposition) -> tuple[MultivariateSignal, list[str], dict]:
-    comps: list[SampledSignal] = []
-    labels: list[str] = []
-    n_ch = d.residue.n_channels
-    for k, mode in enumerate(d.imfs, start=1):
-        for j in range(n_ch):
-            comps.append(mode.channels[j])
-            labels.append(f"imf{k}_ch{j + 1}")
-    for j in range(n_ch):
-        comps.append(d.residue.channels[j])
-        labels.append(f"residue_ch{j + 1}")
-    meta = {"variant": "MEMD", "dc_constant": _fmt(0.0), "channels": n_ch}
-    return MultivariateSignal(tuple(comps)), labels, meta
+def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
+    """Components (then residue) as columns, channel-minor, with labels
+    and the variant/dc-constant metadata."""
+    variant = channels[0].variant.value
+    comps = [c for parts in zip(*(d.components for d in channels)) for c in parts]
+    names = [f"{'imf' if multivariate else variant.lower()}{i}"
+             for i in range(1, len(channels[0].imfs) + 1)] + ["residue"]
+    meta = {"variant": variant,
+            "dc_constant": " ".join(_fmt(d.dc_constant) for d in channels)}
+    if multivariate:
+        names = [f"{name}_ch{j}" for name in names for j in range(1, len(channels) + 1)]
+        meta["channels"] = len(channels)
+    return MultivariateSignal(tuple(comps)), names, meta
 
 
 def run_decompose(args) -> int:
@@ -244,92 +242,66 @@ def run_decompose(args) -> int:
     else:
         signal = generate_preset(args.gen, seed)
 
-    multivariate_algo = args.algo in ("memd", "epmemd")
-    if not multivariate_algo and signal.n_channels != 1:
+    multivariate = args.algo in MULTIVARIATE_ALGOS
+    if not multivariate and signal.n_channels != 1:
         raise CliError(f"--algo {args.algo} is univariate but the input has "
                        f"{signal.n_channels} channels (use memd/epmemd)")
     if args.post is not None and args.algo in ("epemd", "epmemd"):
         raise CliError("--post applies to emd/eemd/memd output, not the "
                        "energy-preserving algorithms")
+    bad = set(outputs) - {"imfs", "report"}
+    if multivariate and bad:
+        raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
 
     artifacts: dict[str, str] = {}
     in_labels = [f"ch{j + 1}" for j in range(signal.n_channels)]
     artifacts["input.csv"] = _csv_signal(signal, in_labels)
 
-    if multivariate_algo:
-        if signal.n_channels < 2 and args.algo == "memd":
-            pass  # single-channel memd falls back to univariate EMD
-        md = (memd if args.algo == "memd" else epmemd)(signal, args.directions, scfg)
-        if args.post is not None:
-            # Per-channel application: orthogonalize each channel's
-            # component chain independently.
-            per_channel = []
-            for j in range(signal.n_channels):
-                dj = Decomposition(
-                    tuple(m.channels[j] for m in md.imfs),
-                    md.residue.channels[j], Variant.EMD)
-                per_channel.append(orthogonal_variants(dj, POST_VARIANTS[args.post]))
-            md = MultivariateDecomposition(
-                tuple(MultivariateSignal(tuple(d.imfs[k] for d in per_channel))
-                      for k in range(len(md.imfs))),
-                MultivariateSignal(tuple(d.residue for d in per_channel)))
-        bad = set(outputs) - {"imfs", "report"}
-        if bad:
-            raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
-        if "imfs" in outputs:
-            table, labels, meta = _multivariate_table(md)
-            artifacts["imfs.csv"] = _csv_signal(table, labels, meta)
-        if "report" in outputs:
-            reports = []
-            for j in range(signal.n_channels):
-                dj = Decomposition(tuple(m.channels[j] for m in md.imfs),
-                                   md.residue.channels[j], Variant.EMD)
-                reports.append(_report_dict(signal.channels[j], dj))
-            artifacts["report.json"] = json.dumps(
-                {"schema_version": SCHEMA_VERSION, "seed": seed,
-                 "channels": reports}, indent=2) + "\n"
-    else:
-        x = signal.channels[0]
-        d = _decompose_univariate(x, args.algo, args.post, scfg, ecfg)
-        if "imfs" in outputs:
-            table, labels, meta = _component_table(d)
-            artifacts["imfs.csv"] = _csv_signal(table, labels, meta)
-        if "report" in outputs:
-            payload = {"schema_version": SCHEMA_VERSION, "seed": seed}
-            payload.update(_report_dict(x, d))
-            artifacts["report.json"] = json.dumps(payload, indent=2) + "\n"
-        if "spectrum" in outputs or "marginal" in outputs:
-            if not d.imfs:
-                raise CliError("spectrum output needs at least one IMF")
-            h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
-                                 n_time_bins=args.time_bins)
-            if "spectrum" in outputs:
-                lines = ["freq_bin,time_bin,energy"]
-                for fi, f_val in enumerate(h.freq_bins):
-                    for ti, t_val in enumerate(h.time_bins):
-                        e = h.energy[fi, ti]
-                        if e != 0.0:
-                            lines.append(",".join(
-                                (_fmt(f_val), _fmt(t_val), _fmt(e))))
-                artifacts["spectrum.csv"] = "\n".join(lines) + "\n"
-            if "marginal" in outputs:
-                lines = ["freq,energy"]
-                for f_val, e in zip(h.freq_bins, h.marginal):
-                    lines.append(",".join((_fmt(f_val), _fmt(e))))
-                artifacts["marginal.csv"] = "\n".join(lines) + "\n"
-        if "significance" in outputs:
-            band_variant = d.variant
-            if band_variant in (Variant.EEMD, Variant.OIMF, Variant.FOUIMF):
-                band_variant = Variant.EMD
-            band = white_noise_band(x.n, band_variant, trials=100, seed=seed,
-                                    sample_rate=x.sample_rate, cfg=scfg)
-            pts = significance_test(d, band)
-            lines = ["component,mean_period,energy_density,inside"]
-            for i, p in enumerate(pts, start=1):
-                inside = "" if p.inside_bounds is None else str(p.inside_bounds).lower()
-                lines.append(",".join((f"imf{i}", _fmt(p.mean_period),
-                                       _fmt(p.energy_density), inside)))
-            artifacts["significance.csv"] = "\n".join(lines) + "\n"
+    channels = _decompose(signal, args.algo, args.post, args.directions, scfg, ecfg)
+    if "imfs" in outputs:
+        artifacts["imfs.csv"] = _csv_signal(*_component_table(channels, multivariate))
+    if "report" in outputs:
+        reports = [_report_dict(x, d) for x, d in zip(signal.channels, channels)]
+        payload = {"schema_version": SCHEMA_VERSION, "seed": seed}
+        if multivariate:
+            payload["channels"] = reports
+        else:
+            payload.update(reports[0])
+        artifacts["report.json"] = json.dumps(payload, indent=2) + "\n"
+
+    x, d = signal.channels[0], channels[0]
+    if "spectrum" in outputs or "marginal" in outputs:
+        if not d.imfs:
+            raise CliError("spectrum output needs at least one IMF")
+        h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
+                             n_time_bins=args.time_bins)
+        if "spectrum" in outputs:
+            lines = ["freq_bin,time_bin,energy"]
+            for fi, f_val in enumerate(h.freq_bins):
+                for ti, t_val in enumerate(h.time_bins):
+                    e = h.energy[fi, ti]
+                    if e != 0.0:
+                        lines.append(",".join(
+                            (_fmt(f_val), _fmt(t_val), _fmt(e))))
+            artifacts["spectrum.csv"] = "\n".join(lines) + "\n"
+        if "marginal" in outputs:
+            lines = ["freq,energy"]
+            for f_val, e in zip(h.freq_bins, h.marginal):
+                lines.append(",".join((_fmt(f_val), _fmt(e))))
+            artifacts["marginal.csv"] = "\n".join(lines) + "\n"
+    if "significance" in outputs:
+        band_variant = d.variant
+        if band_variant in (Variant.EEMD, Variant.OIMF, Variant.FOUIMF):
+            band_variant = Variant.EMD
+        band = white_noise_band(x.n, band_variant, trials=100, seed=seed,
+                                sample_rate=x.sample_rate, cfg=scfg)
+        pts = significance_test(d, band)
+        lines = ["component,mean_period,energy_density,inside"]
+        for i, p in enumerate(pts, start=1):
+            inside = "" if p.inside_bounds is None else str(p.inside_bounds).lower()
+            lines.append(",".join((f"imf{i}", _fmt(p.mean_period),
+                                   _fmt(p.energy_density), inside)))
+        artifacts["significance.csv"] = "\n".join(lines) + "\n"
 
     if "sweep" in outputs:
         fs_list = list(range(args.fs_start, args.fs_stop + 1, args.fs_step))
@@ -351,30 +323,33 @@ def run_decompose(args) -> int:
 # verify
 
 
-def _read_table(path: Path) -> tuple[dict, list[str], np.ndarray]:
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    rows = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = [f.strip() for f in line.split(",")]
-            continue
-        try:
-            rows.append([float(f) for f in line.split(",")])
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
-    if header is None or not rows:
-        raise CliError(f"{path}: missing header or data")
-    return meta, header, np.array(rows)
+def _read_meta(path: Path) -> dict[str, str]:
+    """``# key=value`` comment lines of an emitted CSV."""
+    lines = path.read_text().splitlines()
+    return {k.strip(): v.strip() for k, _, v in
+            (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
+
+
+def _channel_checks(x: SampledSignal, d: Decomposition, rep: dict):
+    """(name, ok, detail) for every contract ``d.variant`` promises."""
+    r = ortho_report(x, d)
+    err = r.reconstruction_error
+    if d.variant is Variant.EEMD:
+        yield ("completeness (diagnostic)", True,
+               f"relative error {err:.3e} (approximate by design)")
+    else:
+        yield "completeness", err <= 1e-9, f"relative error {err:.3e}"
+    if d.variant in GRAM_SCHMIDT_VARIANTS:
+        m = len(d.imfs) + (d.variant is not Variant.OIMF)  # OIMF leaves the residue
+        worst = float(np.max(np.abs(r.io_pairs[:m, :m]), initial=0.0))
+        yield "pairwise orthogonality", worst <= 1e-6, f"max |IO_jk| {worst:.3e}"
+    if d.variant in (Variant.EPEMD, Variant.EPMEMD):
+        comps = d.components
+        yield ("chain orthogonality", len(comps) < 2 or verify_linoep(comps),
+               f"{len(comps)} components")
+    if "pee" in rep:
+        resid = abs(rep["pee"] - 100.0 * rep["io_total"])
+        yield "energy-error identity", resid <= 1e-9, f"|Pee - 100*IO_T| = {resid:.3e}"
 
 
 def run_verify(args) -> int:
@@ -384,73 +359,31 @@ def run_verify(args) -> int:
     for p in (imfs_path, input_path):
         if not p.exists():
             raise CliError(f"missing artifact {p}")
-    meta, header, table = _read_table(imfs_path)
-    _, in_header, in_table = _read_table(input_path)
-    variant = meta.get("variant", "EMD")
-    dc = float(meta.get("dc_constant", "0"))
-
-    checks: list[tuple[str, bool, str]] = []
-
-    comp = table[:, 1:]
-    if variant == "MEMD":
-        n_ch = int(meta.get("channels", in_table.shape[1] - 1))
-        ok = True
-        worst = 0.0
-        for j in range(n_ch):
-            cols = [i for i, name in enumerate(header[1:]) if name.endswith(f"_ch{j + 1}")]
-            recon = comp[:, cols].sum(axis=1)
-            x = in_table[:, 1 + j]
-            scale = float(np.max(np.abs(x))) or 1.0
-            err = float(np.max(np.abs(recon - x))) / scale
-            worst = max(worst, err)
-            ok = ok and err <= 1e-9
-        checks.append(("completeness", ok, f"max relative error {worst:.3e}"))
-    else:
-        recon = comp.sum(axis=1) + dc
-        x = in_table[:, 1]
-        scale = float(np.max(np.abs(x))) or 1.0
-        err = float(np.max(np.abs(recon - x))) / scale
-        if variant == "EEMD":
-            checks.append(("completeness (diagnostic)", True,
-                           f"relative error {err:.3e} (approximate by design)"))
-        else:
-            checks.append(("completeness", err <= 1e-9, f"relative error {err:.3e}"))
-
-        dt = float(np.mean(np.diff(table[:, 0])))
-        if variant in ("ROIMF", "FOIMF", "FOUIMF", "ROUIMF", "OIMF"):
-            cols = comp if variant != "OIMF" else comp[:, :-1]
-            gram = (cols.T @ cols) * dt
-            en = np.diag(gram)
-            off = gram - np.diag(en)
-            denom = en[:, None] + en[None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                pairs = np.where(denom > 0, np.abs(off) / denom, 0.0)
-            worst = float(pairs.max()) if pairs.size else 0.0
-            checks.append(("pairwise orthogonality", worst <= 1e-6,
-                           f"max |IO_jk| {worst:.3e}"))
-        if variant == "EPEMD":
-            ok = True
-            worst = 0.0
-            e_total = float((comp * comp).sum()) * dt
-            for i in range(comp.shape[1] - 1):
-                tail = comp[:, i + 1:].sum(axis=1)
-                v = abs(float(np.dot(comp[:, i], tail))) * dt
-                worst = max(worst, v)
-                ok = ok and v <= 1e-9 * e_total
-            checks.append(("chain orthogonality", ok,
-                           f"max |<c_i, tail>| {worst:.3e}"))
-
+    meta = _read_meta(imfs_path)
+    table = read_signal_csv(imfs_path).as_array()
+    signal = read_signal_csv(input_path)
+    variant = Variant(meta.get("variant", "EMD"))
+    dcs = [float(v) for v in meta.get("dc_constant", "0").split()]
     report_path = art / "report.json"
-    if report_path.exists():
-        rep = json.loads(report_path.read_text())
-        if "pee" in rep:
-            resid = abs(rep["pee"] - 100.0 * rep["io_total"])
-            checks.append(("energy-error identity", resid <= 1e-9,
-                           f"|Pee - 100*IO_T| = {resid:.3e}"))
+    rep = json.loads(report_path.read_text()) if report_path.exists() else {}
+    n_ch = signal.n_channels
+    reps = rep.get("channels", [rep] * n_ch)
+    if len(dcs) != n_ch or len(reps) != n_ch or table.shape[1] % n_ch:
+        raise CliError(f"{art}: artifacts do not match the {n_ch} input channel(s)")
 
-    failed = [c for c in checks if not c[1]]
-    for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+    checks: dict[str, list[tuple[bool, str]]] = {}
+    for j, x in enumerate(signal.channels):
+        comps = [x.with_samples(c) for c in table[:, j::n_ch].T]
+        d = Decomposition(comps[:-1], comps[-1], variant, dcs[j])
+        for name, ok, detail in _channel_checks(x, d, reps[j]):
+            checks.setdefault(name, []).append(
+                (ok, detail if n_ch == 1 else f"ch{j + 1} {detail}"))
+
+    failed = False
+    for name, results in checks.items():
+        ok = all(r[0] for r in results)
+        failed = failed or not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {'; '.join(r[1] for r in results)}")
     return 1 if failed else 0
 
 
@@ -500,7 +433,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, EmdkitError) as exc:
+    except (ValueError, ZeroDivisionError, EmdkitError) as exc:
         if isinstance(exc, RankDeficiencyError):
             print(f"numerical error: {exc}", file=sys.stderr)
             return 2

@@ -55,6 +55,8 @@ class Variant(enum.Enum):
     ROIMF = "ROIMF"
     FOUIMF = "FOUIMF"
     ROUIMF = "ROUIMF"
+    MEMD = "MEMD"
+    EPMEMD = "EPMEMD"
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ class SiftConfig:
             raise ValueError("sd_threshold must be > 0")
         if self.max_sift_iterations < 1:
             raise ValueError("max_sift_iterations must be >= 1")
+        if self.max_imfs < 0:
+            raise ValueError("max_imfs must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,21 +99,44 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     return imf, x.with_samples(x.samples - h)
 
 
+def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
+    """The mode-extraction loop behind emd, epemd, memd and epmemd.
+
+    ``extract(work)`` splits the working signal into ``(mode, residue)``
+    with mode + residue == work, or returns None when ``work`` has no
+    envelope. ``stage(mode, residue)``, if given, returns the pair that
+    replaces it (EPEMD's per-stage orthogonalization). Extraction
+    continues on the residue; returns (modes, final residue).
+    """
+    modes = []
+    work = x
+    while not (max_imfs and len(modes) >= max_imfs):
+        pair = extract(work)
+        if pair is None:
+            break
+        mode, work = pair if stage is None else stage(*pair)
+        modes.append(mode)
+    return tuple(modes), work
+
+
+def _sifter(cfg: SiftConfig):
+    """``sift_one_imf`` as an extractor for ``_extract_modes``."""
+    def extract(work):
+        try:
+            return sift_one_imf(work, cfg)
+        except NoEnvelopeError:
+            return None
+    return extract
+
+
 def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     """Plain EMD: iterate sifting on successive residues.
 
     Degenerate inputs (constant, monotone, single hump) yield zero IMFs
     with residue equal to the input.
     """
-    imfs: list[SampledSignal] = []
-    residue = x
-    while not (cfg.max_imfs and len(imfs) >= cfg.max_imfs):
-        try:
-            imf, residue = sift_one_imf(residue, cfg)
-        except NoEnvelopeError:
-            break
-        imfs.append(imf)
-    return Decomposition(tuple(imfs), residue, Variant.EMD)
+    imfs, residue = _extract_modes(x, _sifter(cfg), max_imfs=cfg.max_imfs)
+    return Decomposition(imfs, residue, Variant.EMD)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -16,14 +16,13 @@ import numpy as np
 
 from .core import (
     Decomposition,
-    DimensionMismatchError,
     SampledSignal,
     Variant,
     energy,
     inner_product,
 )
-from .emd import SiftConfig, sift_one_imf
-from .envelope import NoEnvelopeError
+from .emd import SiftConfig, _extract_modes, _sifter
+from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
 
 #: Residue energy below this fraction of the stage input energy triggers
 #: the pass-through branch (no orthogonalization against ~zero).
@@ -59,21 +58,16 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     is orthogonalized against the residue, and the procedure recurses on
     the adjusted residue. Per-stage alphas are kept in ``diagnostics``.
     """
-    components: list[SampledSignal] = []
     alphas: list[float] = []
-    work = x
-    while not (cfg.max_imfs and len(components) >= cfg.max_imfs):
-        try:
-            imf, residue = sift_one_imf(work, cfg)
-        except NoEnvelopeError:
-            break
-        stage = orthogonalize_stage(imf, residue)
-        components.append(stage.epimf)
-        alphas.append(stage.alpha)
-        work = stage.residue_out
-    return Decomposition(
-        tuple(components), work, Variant.EPEMD, diagnostics={"alphas": alphas}
-    )
+
+    def stage(imf, residue):
+        st = orthogonalize_stage(imf, residue)
+        alphas.append(st.alpha)
+        return st.epimf, st.residue_out
+
+    components, residue = _extract_modes(x, _sifter(cfg), stage, cfg.max_imfs)
+    return Decomposition(components, residue, Variant.EPEMD,
+                         diagnostics={"alphas": alphas})
 
 
 def verify_linoep(components) -> bool:
@@ -100,39 +94,16 @@ def verify_linoep(components) -> bool:
     return abs(e_total - e_sum) <= 1e-9 * e_total
 
 
-def epmemd(x, K: int = 64, cfg: SiftConfig = SiftConfig()):
+def _orthogonalize_channels(mode: MultivariateSignal, residue: MultivariateSignal):
+    """``orthogonalize_stage`` on each channel of a multivariate pair."""
+    stages = [orthogonalize_stage(m, r) for m, r in zip(mode.channels, residue.channels)]
+    return (MultivariateSignal(tuple(st.epimf for st in stages)),
+            MultivariateSignal(tuple(st.residue_out for st in stages)))
+
+
+def epmemd(x: MultivariateSignal, K: int = 64,
+           cfg: SiftConfig = SiftConfig()) -> MultivariateDecomposition:
     """Energy-preserving multivariate EMD: per-stage MEMD extraction
-    followed by channel-wise orthogonalization against the residue."""
-    from .memd import (
-        NEGLIGIBLE_RESIDUE_THRESHOLD,
-        MultivariateDecomposition,
-        MultivariateSignal,
-        _extract_one_multivariate_imf,
-        hammersley_directions,
-    )
-
-    if len(x.channels) == 1:
-        d = epemd(x.channels[0], cfg)
-        return MultivariateDecomposition(
-            tuple(MultivariateSignal((imf,)) for imf in d.imfs),
-            MultivariateSignal((d.residue,)),
-        )
-
-    dirs = hammersley_directions(len(x.channels), K)
-    imfs: list[MultivariateSignal] = []
-    work = x
-    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(x.as_array())))
-    while not (cfg.max_imfs and len(imfs) >= cfg.max_imfs):
-        if float(np.max(np.abs(work.as_array()))) <= floor:
-            break
-        extracted = _extract_one_multivariate_imf(work, dirs, cfg)
-        if extracted is None:
-            break
-        mode, residue = extracted
-        stages = [
-            orthogonalize_stage(m, r)
-            for m, r in zip(mode.channels, residue.channels)
-        ]
-        imfs.append(MultivariateSignal(tuple(st.epimf for st in stages)))
-        work = MultivariateSignal(tuple(st.residue_out for st in stages))
-    return MultivariateDecomposition(tuple(imfs), work)
+    followed by channel-wise orthogonalization against the residue. A
+    single-channel input falls back to ``epemd``."""
+    return _multivariate_modes(x, K, cfg, Variant.EPMEMD, epemd, _orthogonalize_channels)

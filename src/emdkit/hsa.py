@@ -78,6 +78,8 @@ def hilbert_spectrum(
     """
     if not d.imfs:
         raise ValueError("decomposition has no IMFs")
+    if n_freq_bins < 1 or (n_time_bins is not None and n_time_bins < 1):
+        raise ValueError("frequency and time bin counts must be >= 1")
     ref = d.imfs[0]
     nyquist = ref.sample_rate / 2.0
     f_width = nyquist / n_freq_bins
@@ -100,11 +102,6 @@ def hilbert_spectrum(
         np.add.at(grid, (f_idx, t_idx), attrs.amplitude**2)
     marginal = grid.sum(axis=1) * ref.dt
     return HilbertSpectrum(freq_bins, time_bins, grid, marginal, ref.dt, clipped)
-
-
-def marginal_spectrum(h: HilbertSpectrum) -> np.ndarray:
-    """Time-integrated energy per frequency bin."""
-    return h.energy.sum(axis=1) * h.dt
 
 
 def spectral_ridge(h: HilbertSpectrum) -> np.ndarray:

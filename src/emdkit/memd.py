@@ -12,12 +12,18 @@ univariate extrema/zero-crossing condition is not imposed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DimensionMismatchError, NoEnvelopeError, SampledSignal
-from .emd import SiftConfig, emd
+from .core import (
+    Decomposition,
+    DimensionMismatchError,
+    NoEnvelopeError,
+    SampledSignal,
+    Variant,
+)
+from .emd import SiftConfig, _extract_modes, emd
 from .envelope import _mirror_extend, cubic_spline, detect_extrema
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
@@ -71,8 +77,24 @@ class MultivariateSignal:
 
 @dataclass(frozen=True)
 class MultivariateDecomposition:
-    imfs: tuple[MultivariateSignal, ...]
-    residue: MultivariateSignal
+    """One ``Decomposition`` per channel, all with the same mode count."""
+
+    channels: tuple[Decomposition, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(self.channels))
+        if len({len(d.imfs) for d in self.channels}) != 1:
+            raise DimensionMismatchError("channels need one decomposition each "
+                                         "with equal mode counts")
+
+    @property
+    def imfs(self) -> tuple[MultivariateSignal, ...]:
+        """Modes across channels, highest frequency first."""
+        return tuple(MultivariateSignal(m) for m in zip(*(d.imfs for d in self.channels)))
+
+    @property
+    def residue(self) -> MultivariateSignal:
+        return MultivariateSignal(tuple(d.residue for d in self.channels))
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -226,31 +248,35 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
     return x.from_array(mode), residue
 
 
-def memd(x: MultivariateSignal, K: int = 64, cfg: SiftConfig = SiftConfig()):
+def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant: Variant,
+                        univariate, stage=None) -> MultivariateDecomposition:
+    """Body of memd and epmemd: MEMD extraction over K Hammersley
+    directions until the residue is negligible, with ``stage`` applied to
+    each extracted pair. A single-channel input goes to ``univariate``."""
+    if x.n_channels == 1:
+        d = univariate(x.channels[0], cfg)
+        return MultivariateDecomposition((replace(d, variant=variant),))
+
+    dirs = hammersley_directions(x.n_channels, K)
+    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(x.as_array())))
+
+    def extract(work):
+        if float(np.max(np.abs(work.as_array()))) <= floor:
+            return None
+        return _extract_one_multivariate_imf(work, dirs, cfg)
+
+    modes, residue = _extract_modes(x, extract, stage, cfg.max_imfs)
+    return MultivariateDecomposition(tuple(
+        Decomposition(tuple(m.channels[j] for m in modes), r, variant)
+        for j, r in enumerate(residue.channels)))
+
+
+def memd(x: MultivariateSignal, K: int = 64,
+         cfg: SiftConfig = SiftConfig()) -> MultivariateDecomposition:
     """Multivariate EMD with K projection directions.
 
     Mode and channel counts are aligned by construction; per-channel
     completeness follows from the telescoping subtraction. A
     single-channel input falls back to univariate EMD.
     """
-    if x.n_channels == 1:
-        d = emd(x.channels[0], cfg)
-        return MultivariateDecomposition(
-            tuple(MultivariateSignal((imf,)) for imf in d.imfs),
-            MultivariateSignal((d.residue,)),
-        )
-
-    dirs = hammersley_directions(x.n_channels, K)
-    imfs: list[MultivariateSignal] = []
-    work = x
-    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(x.as_array())))
-    while not (cfg.max_imfs and len(imfs) >= cfg.max_imfs):
-        if float(np.max(np.abs(work.as_array()))) <= floor:
-            break
-        extracted = _extract_one_multivariate_imf(work, dirs, cfg)
-        if extracted is None:
-            break
-        mode, residue = extracted
-        imfs.append(mode)
-        work = residue
-    return MultivariateDecomposition(tuple(imfs), work)
+    return _multivariate_modes(x, K, cfg, Variant.MEMD, emd)

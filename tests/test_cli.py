@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from emdkit import SampledSignal
 from emdkit.cli import main, read_signal_csv
 from conftest import sine
 
@@ -172,6 +173,27 @@ class TestErrors:
                      "--algo", "epemd", "--post", "roimf",
                      "--output-dir", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("flags", [["--max-imfs", "-1"],
+                                       ["--out", "spectrum", "--freq-bins", "0"],
+                                       ["--out", "spectrum", "--time-bins", "0"]])
+    def test_invalid_counts(self, two_tone_csv, tmp_path, capsys, flags):
+        assert main(["decompose", "--input", str(two_tone_csv), *flags,
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_all_zero_signal(self, tmp_path, capsys):
+        p = tmp_path / "zero.csv"
+        write_csv(p, [SampledSignal(np.zeros(64), 64.0)])
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--out", "report",
+                     "--output-dir", str(out)]) == 1
+        assert main(["decompose", "--input", str(p), "--out", "imfs",
+                     "--output-dir", str(out)]) == 0
+        assert main(["verify", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.startswith("error: zero-energy signal") for line in err] == [True, True]
+
     def test_unknown_output(self, two_tone_csv, tmp_path):
         assert main(["decompose", "--input", str(two_tone_csv),
                      "--out", "bogus",
@@ -200,6 +222,25 @@ class TestVerify:
         out = self.run_pipeline(two_tone_csv, tmp_path, "--algo", "epemd")
         assert main(["verify", str(out)]) == 0
         assert "chain orthogonality" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo, post, check", [
+        ("memd", "rouimf", "pairwise orthogonality"),
+        ("epmemd", None, "chain orthogonality"),
+    ])
+    def test_multivariate_contracts_checked(self, tmp_path, capsys, algo, post, check):
+        a = sine(4.0, 128.0, 4.0) + sine(16.0, 128.0, 4.0)
+        a = a.with_samples(a.samples + 0.3)  # a channel mean: nonzero dc constant
+        b = sine(4.0, 128.0, 4.0, phase=0.5) + sine(16.0, 128.0, 4.0, phase=1.0)
+        p = tmp_path / "mv.csv"
+        write_csv(p, [a, b])
+        out = tmp_path / "out"
+        extra = ["--post", post] if post else []
+        assert main(["decompose", "--input", str(p), "--algo", algo, "--directions", "8",
+                     "--out", "imfs,report", "--output-dir", str(out), *extra]) == 0
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"PASS  {check}: ch1 ") for line in lines)
+        assert any(line.startswith("PASS  energy-error identity: ch1 ") for line in lines)
 
     def test_tampered_imfs_fail(self, two_tone_csv, tmp_path, capsys):
         out = self.run_pipeline(two_tone_csv, tmp_path)

@@ -25,6 +25,8 @@ class TestConfigs:
             SiftConfig(sd_threshold=0.0)
         with pytest.raises(ValueError):
             SiftConfig(max_sift_iterations=0)
+        with pytest.raises(ValueError):
+            SiftConfig(max_imfs=-1)
 
     def test_eemd_config_validation(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,8 @@ class TestEpmemd:
         s = sine(4.0, 256.0, 2.0) + sine(32.0, 256.0, 2.0)
         uni = epemd(s)
         multi = epmemd(MultivariateSignal((s,)))
+        assert multi.channels[0].variant is Variant.EPMEMD
+        assert multi.channels[0].diagnostics == uni.diagnostics
         assert len(multi.imfs) == len(uni.imfs)
         for a, b in zip(multi.imfs, uni.imfs):
             np.testing.assert_array_equal(a.channels[0].samples, b.samples)
@@ -176,6 +178,7 @@ class TestEpmemd:
         )
         x = MultivariateSignal(chans)
         d = epmemd(x, K=16)
+        assert [c.variant for c in d.channels] == [Variant.EPMEMD] * 2
         for j in range(2):
             comps = [m.channels[j] for m in d.imfs] + [d.residue.channels[j]]
             if len(comps) >= 2:

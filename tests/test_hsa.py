@@ -15,7 +15,6 @@ from emdkit import (
     epemd,
     generate,
     hilbert_spectrum,
-    marginal_spectrum,
     spectral_ridge,
 )
 from conftest import sine
@@ -113,9 +112,15 @@ class TestHilbertSpectrum:
     def test_marginal_definition(self):
         x = sine(20.0, 500.0, 4.0)
         h = hilbert_spectrum(emd(x))
-        np.testing.assert_allclose(marginal_spectrum(h), h.energy.sum(axis=1) * h.dt,
+        np.testing.assert_allclose(h.marginal, h.energy.sum(axis=1) * h.dt,
                                    rtol=1e-12)
-        np.testing.assert_allclose(h.marginal, marginal_spectrum(h), rtol=1e-12)
+
+    @pytest.mark.parametrize("bins", [dict(n_freq_bins=0), dict(n_time_bins=0)])
+    def test_empty_grid_rejected(self, bins):
+        x = sine(20.0, 500.0, 4.0)
+        d = Decomposition((x,), x.with_samples(np.zeros(x.n)), Variant.EMD)
+        with pytest.raises(ValueError):
+            hilbert_spectrum(d, **bins)
 
     def test_no_imfs_rejected(self):
         x = SampledSignal(np.full(64, 1.0), 10.0)
@@ -146,7 +151,7 @@ class TestHilbertSpectrum:
         for d in (epemd(x), emd(x)):
             h = hilbert_spectrum(d)
             imf_energy = sum(energy(imf) for imf in d.imfs)
-            total = float(marginal_spectrum(h).sum())
+            total = float(h.marginal.sum())
             # Analytic amplitude-squared integrates to twice the signal
             # energy for zero-mean oscillatory components; end effects
             # keep this within a few percent.

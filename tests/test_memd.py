@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from emdkit import (
+    Decomposition,
     DimensionMismatchError,
+    MultivariateDecomposition,
     MultivariateSignal,
     NoEnvelopeError,
     SampledSignal,
     SignalKind,
     SignalSpec,
+    Variant,
     build_envelopes,
     emd,
     generate_multitone4,
@@ -185,6 +188,27 @@ class TestMemd:
         assert len(multi.imfs) == len(uni.imfs)
         for a, b in zip(multi.imfs, uni.imfs):
             np.testing.assert_array_equal(a.channels[0].samples, b.samples)
+
+
+class TestMultivariateDecomposition:
+    def test_one_decomposition_per_channel(self, multitone_decomp):
+        x, d = multitone_decomp
+        assert len(d.channels) == x.n_channels
+        for j, ch in enumerate(d.channels):
+            assert ch.variant is Variant.MEMD
+            assert ch.dc_constant == 0.0
+            assert all(a is m.channels[j] for a, m in zip(ch.imfs, d.imfs, strict=True))
+            assert ch.residue is d.residue.channels[j]
+
+    def test_single_channel_fallback_labelled_memd(self):
+        d = memd(MultivariateSignal((sine(8.0, 256.0, 2.0),)))
+        assert [c.variant for c in d.channels] == [Variant.MEMD]
+
+    def test_unequal_mode_counts_rejected(self):
+        s = sine(8.0, 64.0, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            MultivariateDecomposition((Decomposition((s,), s, Variant.MEMD),
+                                       Decomposition((), s, Variant.MEMD)))
 
 
 class TestMultivariateSignal:
