@@ -3,7 +3,7 @@
 Sifting stops on the Cauchy SD criterion (default threshold 0.2), an
 early IMF-test pass, or a hard iteration cap. Extraction of modes stops
 when the running residue no longer supports envelopes (constant,
-monotone, or down to a single maximum/minimum).
+monotone, down to a single maximum/minimum, or of subnormal amplitude).
 """
 
 from __future__ import annotations
@@ -78,14 +78,25 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     imf + residue == x exactly (elementwise float identity).
 
     Raises NoEnvelopeError if ``x`` has no envelopes at all, signalling
-    the end of the decomposition to the caller.
+    the end of the decomposition to the caller. A nonzero ``x`` whose
+    amplitude is below the normal floating-point range counts as having
+    none: its samples carry too few significant bits for envelopes, and
+    the spline's rounding noise would feed new extrema to every residue.
     """
     h = x.samples
+    if 0.0 < np.max(np.abs(h)) < np.finfo(float).tiny:
+        raise NoEnvelopeError("amplitude below the normal floating-point range")
     env = build_envelopes(x)  # propagate NoEnvelopeError on first pass
     for it in range(cfg.max_sift_iterations):
         h_new = h - env.mean.samples
-        denom = float(np.dot(h, h))
-        sd = float(np.dot(h - h_new, h - h_new)) / denom if denom > 0 else 0.0
+        # Scale by a power of two that brings max|h| into [0.5, 1): exact,
+        # so the ratio is unchanged, but the dots can neither overflow nor
+        # underflow for huge or tiny amplitudes.
+        e = -np.frexp(np.max(np.abs(h)))[1]
+        hs = np.ldexp(h, e)
+        ds = np.ldexp(h - h_new, e)
+        denom = float(np.dot(hs, hs))
+        sd = float(np.dot(ds, ds)) / denom if denom > 0 else 0.0
         h = h_new
         candidate = x.with_samples(h)
         if sd <= cfg.sd_threshold or is_imf(candidate):
@@ -132,8 +143,9 @@ def _sifter(cfg: SiftConfig):
 def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     """Plain EMD: iterate sifting on successive residues.
 
-    Degenerate inputs (constant, monotone, single hump) yield zero IMFs
-    with residue equal to the input.
+    Degenerate inputs (constant, monotone, single hump, amplitude below
+    the normal floating-point range) yield zero IMFs with residue equal
+    to the input.
     """
     imfs, residue = _extract_modes(x, _sifter(cfg), max_imfs=cfg.max_imfs)
     return Decomposition(imfs, residue, Variant.EMD)

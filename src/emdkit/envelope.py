@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .core import (
     InsufficientDataError,
@@ -20,16 +21,19 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compare fields explicitly
 class ExtremaSet:
-    """Interior strict extrema as (index, value) pairs, plateau-collapsed."""
+    """Interior strict extrema, plateau-collapsed: sample indices (int)
+    and values (float) of the maxima and of the minima, in time order."""
 
-    maxima: tuple[tuple[int, float], ...]
-    minima: tuple[tuple[int, float], ...]
+    max_idx: np.ndarray
+    max_val: np.ndarray
+    min_idx: np.ndarray
+    min_val: np.ndarray
 
     @property
     def n_extrema(self) -> int:
-        return len(self.maxima) + len(self.minima)
+        return self.max_idx.size + self.min_idx.size
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,15 @@ def detect_extrema(x: SampledSignal) -> ExtremaSet:
         raise InsufficientDataError("extrema detection needs at least 3 samples")
 
     # Collapse runs of equal values to one representative per run.
-    change = np.flatnonzero(np.diff(v) != 0)
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [n - 1]))
-    rv = v[starts]
-    if rv.size < 3:
-        return ExtremaSet((), ())
-
+    change = np.flatnonzero(v[1:] != v[:-1])
+    # Interior run j spans [change[j-1] + 1, change[j]].
+    starts = change[:-1] + 1
+    centers = (starts + change[1:]) // 2
+    rv = v[np.concatenate(([0], starts, [n - 1]))]
     left, mid, right = rv[:-2], rv[1:-1], rv[2:]
-    centers = (starts[1:-1] + ends[1:-1]) // 2
     is_max = (mid > left) & (mid > right)
     is_min = (mid < left) & (mid < right)
-    maxima = tuple((int(i), float(val)) for i, val in zip(centers[is_max], mid[is_max]))
-    minima = tuple((int(i), float(val)) for i, val in zip(centers[is_min], mid[is_min]))
-    return ExtremaSet(maxima, minima)
+    return ExtremaSet(centers[is_max], mid[is_max], centers[is_min], mid[is_min])
 
 
 def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
@@ -78,38 +77,52 @@ def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
     q = np.asarray(query_t, dtype=float)
     if t.size < 2 or t.size != y.size:
         raise InvalidKnotsError("need at least 2 knots with matching values")
-    h = np.diff(t)
+    h = t[1:] - t[:-1]
     if np.any(h <= 0):
         raise InvalidKnotsError("knot abscissae must be strictly increasing")
 
-    m = _natural_second_derivatives(t, y)
-    # Clip so queries beyond the knot range use the end polynomial pieces.
-    idx = np.clip(np.searchsorted(t, q, side="right") - 1, 0, t.size - 2)
+    m = _natural_second_derivatives(h, y)
+    # Clamp so queries beyond the knot range use the end polynomial pieces.
+    idx = np.searchsorted(t, q, side="right")
+    idx -= 1
+    np.maximum(idx, 0, out=idx)
+    np.minimum(idx, t.size - 2, out=idx)
+    idx1 = idx + 1
     hi = h[idx]
-    a = (t[idx + 1] - q) / hi
+    a = (t[idx1] - q) / hi
     b = (q - t[idx]) / hi
     return (
         a * y[idx]
-        + b * y[idx + 1]
-        + ((a**3 - a) * m[idx] + (b**3 - b) * m[idx + 1]) * hi**2 / 6.0
+        + b * y[idx1]
+        + ((a**3 - a) * m[idx] + (b**3 - b) * m[idx1]) * hi**2 / 6.0
     )
 
 
-def _natural_second_derivatives(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second derivatives at the knots for a natural cubic spline."""
-    n = t.size
-    m = np.zeros(n)
-    if n == 2:
+def _natural_second_derivatives(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Second derivatives at the knots of a natural cubic spline with knot
+    spacings ``h`` and values ``y``.
+
+    The interior equations form a symmetric tridiagonal system, solved
+    by LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting).
+    """
+    m = np.zeros(y.size)
+    if y.size == 2:
         return m
-    h = np.diff(t)
-    # Tridiagonal system for the interior second derivatives.
     diag = 2.0 * (h[:-1] + h[1:])
-    rhs = 6.0 * (np.diff(y[1:]) / h[1:] - np.diff(y[:-1]) / h[:-1])
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = h[1:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = h[1:-1]
-    m[1:-1] = solve_banded((1, 1), ab, rhs)
+    s = (y[1:] - y[:-1]) / h
+    rhs = 6.0 * (s[1:] - s[:-1])
+    if not (np.isfinite(diag).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if rhs.size == 1:  # the dgtsv wrapper rejects empty off-diagonals
+        m[1] = rhs[0] / diag[0]
+        return m
+    # dgtsv overwrites all four arguments in place; the off-diagonals are
+    # fresh copies so that ``h`` survives for the evaluation.
+    off = h[1:-1]
+    _, _, _, m[1:-1], info = dgtsv(off.copy(), diag, off.copy(), rhs, overwrite_dl=1,
+                                   overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     return m
 
 
@@ -223,19 +236,14 @@ def build_envelopes(x: SampledSignal) -> EnvelopePair:
     error.
     """
     ext = detect_extrema(x)
-    if len(ext.maxima) < 2 or len(ext.minima) < 2:
+    if ext.max_idx.size < 2 or ext.min_idx.size < 2:
         raise NoEnvelopeError(
-            f"need >= 2 maxima and >= 2 minima, got {len(ext.maxima)}/{len(ext.minima)}"
+            f"need >= 2 maxima and >= 2 minima, got {ext.max_idx.size}/{ext.min_idx.size}"
         )
     query = np.arange(x.n, dtype=float)
-
-    max_i = np.array([i for i, _ in ext.maxima], dtype=float)
-    max_v = np.array([v for _, v in ext.maxima])
-    min_i = np.array([i for i, _ in ext.minima], dtype=float)
-    min_v = np.array([v for _, v in ext.minima])
-
     (ui, uv), (li, lv) = _boundary_knots(
-        max_i, max_v, min_i, min_v, float(x.samples[0]), float(x.samples[-1]), x.n
+        ext.max_idx.astype(float), ext.max_val, ext.min_idx.astype(float), ext.min_val,
+        float(x.samples[0]), float(x.samples[-1]), x.n,
     )
     upper = cubic_spline(ui, uv, query)
     lower = cubic_spline(li, lv, query)

@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     Decomposition,
     DimensionMismatchError,
+    InsufficientDataError,
     NoEnvelopeError,
     SampledSignal,
     Variant,
@@ -182,10 +183,12 @@ def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarr
     """Spline every channel through its values at the (mirror-extended)
     knot instants; returns an (n, n_channels) envelope surface."""
     query = np.arange(n, dtype=float)
+    # Mirror the knot instants once; ``rows`` are the samples whose values
+    # the (possibly reflected) knots take, the same for every channel.
+    ki, rows = _mirror_extend(knot_idx.astype(float), knot_idx, n)
     out = np.empty_like(data)
     for j in range(data.shape[1]):
-        ki, kv = _mirror_extend(knot_idx.astype(float), data[knot_idx, j], n)
-        out[:, j] = cubic_spline(ki, kv, query)
+        out[:, j] = cubic_spline(ki, data[rows, j], query)
     return out
 
 
@@ -208,14 +211,12 @@ def multivariate_mean_envelope(
             continue
         try:
             ext = detect_extrema(p)
-        except Exception:
+        except InsufficientDataError:
             continue
-        if len(ext.maxima) < 2 or len(ext.minima) < 2:
+        if ext.max_idx.size < 2 or ext.min_idx.size < 2:
             continue
-        max_idx = np.array([i for i, _ in ext.maxima])
-        min_idx = np.array([i for i, _ in ext.minima])
-        upper = _interp_channels(data, max_idx, x.n)
-        lower = _interp_channels(data, min_idx, x.n)
+        upper = _interp_channels(data, ext.max_idx, x.n)
+        lower = _interp_channels(data, ext.min_idx, x.n)
         acc += (upper + lower) / 2.0
         used += 1
     if used == 0:

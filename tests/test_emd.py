@@ -126,6 +126,25 @@ class TestEmd:
         d = emd(x, SiftConfig(max_imfs=2))
         assert len(d.imfs) == 2
 
+    @pytest.mark.parametrize("k", [500, -500, 900, -900])
+    def test_exactly_scale_equivariant(self, rng, k):
+        # Scaling by 2**k is exact, so every IMF must scale bit for bit;
+        # huge or tiny amplitudes must not overflow or underflow the sift.
+        for _ in range(3):
+            x = rng.standard_normal(512)
+            ref = emd(sig(x))
+            got = emd(sig(x * 2.0 ** k))
+            assert len(got.imfs) == len(ref.imfs)
+            for a, b in zip(got.imfs, ref.imfs):
+                assert np.array_equal(a.samples, b.samples * 2.0 ** k)
+            assert np.array_equal(got.residue.samples, ref.residue.samples * 2.0 ** k)
+
+    def test_subnormal_amplitude_is_residue(self, rng):
+        x = sig(rng.standard_normal(512) * 2.0 ** -1060)
+        d = emd(x)
+        assert d.imfs == ()
+        np.testing.assert_array_equal(d.residue.samples, x.samples)
+
     def test_spectral_centroid_ordering_statistical(self, rng):
         def centroid(s):
             power = np.abs(np.fft.rfft(s.samples)) ** 2

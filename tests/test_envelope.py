@@ -20,26 +20,26 @@ def sig(values, rate=1.0):
 class TestDetectExtrema:
     def test_alternating(self):
         ext = detect_extrema(sig([1, 3, 1, 3, 1]))
-        assert [i for i, _ in ext.maxima] == [1, 3]
-        assert [i for i, _ in ext.minima] == [2]
+        assert ext.max_idx.tolist() == [1, 3]
+        assert ext.min_idx.tolist() == [2]
 
     def test_monotone_has_none(self):
         ext = detect_extrema(sig([1, 2, 3, 4, 5]))
-        assert ext.maxima == () and ext.minima == ()
+        assert ext.max_idx.size == 0 and ext.min_idx.size == 0
 
     def test_sine_counts(self):
         ext = detect_extrema(sine(5.0, 1000.0, 1.0))
-        assert len(ext.maxima) == 5
-        assert len(ext.minima) == 5
+        assert ext.max_idx.size == 5
+        assert ext.min_idx.size == 5
 
     def test_plateau_collapses_to_center(self):
         ext = detect_extrema(sig([0, 1, 2, 2, 2, 1, 0]))
-        assert [i for i, _ in ext.maxima] == [3]
+        assert ext.max_idx.tolist() == [3]
 
     def test_endpoints_never_extrema(self):
         ext = detect_extrema(sig([5, 1, 5]))
-        assert [i for i, _ in ext.minima] == [1]
-        assert ext.maxima == ()
+        assert ext.min_idx.tolist() == [1]
+        assert ext.max_idx.size == 0
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
@@ -53,8 +53,16 @@ class TestDetectExtrema:
                          if v[i] > v[i - 1] and v[i] > v[i + 1]]
             brute_min = [i for i in range(1, v.size - 1)
                          if v[i] < v[i - 1] and v[i] < v[i + 1]]
-            assert [i for i, _ in ext.maxima] == brute_max
-            assert [i for i, _ in ext.minima] == brute_min
+            assert ext.max_idx.tolist() == brute_max
+            assert ext.min_idx.tolist() == brute_min
+            assert ext.max_idx.dtype.kind == "i" and ext.min_idx.dtype.kind == "i"
+
+    def test_values_are_the_samples_at_the_indices(self, rng):
+        v = np.round(rng.standard_normal(300), 1)  # rounding makes plateaus
+        ext = detect_extrema(sig(v))
+        np.testing.assert_array_equal(ext.max_val, v[ext.max_idx])
+        np.testing.assert_array_equal(ext.min_val, v[ext.min_idx])
+        assert ext.n_extrema == ext.max_idx.size + ext.min_idx.size > 0
 
 
 def _dense_natural_spline(t, y, q):
@@ -107,6 +115,29 @@ class TestCubicSpline:
             got = cubic_spline(t, y, q)
             want = _dense_natural_spline(t, y, q)
             np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_leaves_inputs_unmodified(self, rng):
+        t = np.cumsum(rng.uniform(0.5, 2.0, 12))
+        y = rng.standard_normal(12)
+        q = np.linspace(t[0] - 1, t[-1] + 1, 101)
+        t0, y0, q0 = t.copy(), y.copy(), q.copy()
+        cubic_spline(t, y, q)
+        np.testing.assert_array_equal(t, t0)
+        np.testing.assert_array_equal(y, y0)
+        np.testing.assert_array_equal(q, q0)
+
+    def test_repeated_calls_are_byte_identical(self, rng):
+        for k in (2, 3, 4, 40):
+            t = np.cumsum(rng.uniform(0.5, 2.0, k))
+            y = rng.standard_normal(k)
+            q = np.linspace(t[0], t[-1], 77)
+            first = cubic_spline(t, y, q)
+            for _ in range(3):
+                assert cubic_spline(t, y, q).tobytes() == first.tobytes()
+
+    def test_rejects_non_finite_system(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            cubic_spline([0, 1, 2, 3], [0, 1e308, -1e308, 0], [0.5])
 
     def test_rejects_bad_knots(self):
         with pytest.raises(InvalidKnotsError):

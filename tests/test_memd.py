@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,23 @@ class TestMemd:
         for ch in d.imfs[0].channels:
             corr = np.corrcoef(ch.samples, s.samples)[0, 1]
             assert corr > 0.99
+
+    def test_two_sample_input_has_no_modes(self):
+        x = MultivariateSignal((SampledSignal(np.array([1.0, -2.0]), 1.0),
+                                SampledSignal(np.array([0.5, 3.0]), 1.0)))
+        d = memd(x, K=8)
+        assert d.imfs == ()
+        np.testing.assert_array_equal(d.residue.as_array(), x.as_array())
+
+    def test_unexpected_extrema_errors_propagate(self, monkeypatch):
+        def broken(p):
+            raise RuntimeError("bug")
+
+        # The package re-exports shadow the submodule name; look it up directly.
+        monkeypatch.setattr(sys.modules["emdkit.memd"], "detect_extrema", broken)
+        s = sine(8.0, 256.0, 2.0)
+        with pytest.raises(RuntimeError):
+            memd(MultivariateSignal((s, s)), K=8)
 
     def test_single_channel_falls_back_to_emd(self):
         s = sine(8.0, 256.0, 2.0) + sine(32.0, 256.0, 2.0)
