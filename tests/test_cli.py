@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from emdkit import SampledSignal
+from emdkit import (
+    SampledSignal,
+    SignalKind,
+    SignalSpec,
+    Variant,
+    emd,
+    generate,
+    hilbert_spectrum,
+    significance_test,
+    sweep_io_t,
+    white_noise_band,
+)
 from emdkit.cli import main, read_signal_csv
 from conftest import sine
 
@@ -115,6 +126,42 @@ class TestDecompose:
         assert len(rows) == 4
         for r in rows[1:]:
             assert abs(float(r.split(",")[2])) <= 1e-12
+
+    def test_secondary_artifacts_byte_exact(self, tmp_path):
+        """The artifacts the golden digests do not cover, rebuilt from the
+        library: non-zero spectrum cells in frequency-major order, every
+        float as %.17g."""
+        out = tmp_path / "out"
+        assert main(["decompose", "--gen", "am", "--seed", "3",
+                     "--out", "spectrum,marginal,significance,sweep",
+                     "--freq-bins", "16", "--time-bins", "64",
+                     "--fs-start", "150", "--fs-stop", "160", "--fs-step", "5",
+                     "--output-dir", str(out)]) == 0
+
+        def table(header, rows):
+            return "\n".join([header] + [",".join(
+                v if isinstance(v, str) else "%.17g" % v for v in row)
+                for row in rows]) + "\n"
+
+        x = generate(SignalSpec(SignalKind.AM, seed=3))
+        d = emd(x)
+        h = hilbert_spectrum(d, n_freq_bins=16, n_time_bins=64)
+        band = white_noise_band(x.n, Variant.EMD, trials=100, seed=3,
+                                sample_rate=x.sample_rate)
+        inside = {None: "", True: "true", False: "false"}
+        expected = {
+            "input.csv": table("time,ch1", zip(x.times, x.samples)),
+            "spectrum.csv": table("freq_bin,time_bin,energy", (
+                (h.freq_bins[fi], h.time_bins[ti], h.energy[fi, ti])
+                for fi, ti in np.argwhere(h.energy != 0))),
+            "marginal.csv": table("freq,energy", zip(h.freq_bins, h.marginal)),
+            "significance.csv": table("component,mean_period,energy_density,inside", (
+                (f"imf{i}", p.mean_period, p.energy_density, inside[p.inside_bounds])
+                for i, p in enumerate(significance_test(d, band), start=1))),
+            "sweep.csv": table("fs,io_t_emd,io_t_epemd", sweep_io_t([150, 155, 160])),
+        }
+        for name, text in expected.items():
+            assert (out / name).read_text() == text, name
 
     def test_memd_two_channels(self, tmp_path):
         a = sine(4.0, 128.0, 4.0) + sine(16.0, 128.0, 4.0)
