@@ -30,7 +30,7 @@ from .core import (
 )
 from .emd import EemdConfig, SiftConfig, eemd, emd
 from .epemd import epemd, epmemd, verify_linoep
-from .gsom import orthogonal_variants
+from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 from .hsa import hilbert_spectrum
 from .memd import MultivariateSignal, memd
 from .metrics import ortho_report
@@ -52,10 +52,6 @@ F = "%.17g"
 
 class CliError(Exception):
     """Validation, parse or configuration error (exit code 1)."""
-
-
-def _fmt(x: float) -> str:
-    return F % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +135,7 @@ def generate_preset(name: str, seed: int) -> MultivariateSignal:
 # ---------------------------------------------------------------------------
 # Pipeline
 
-POST_VARIANTS = {
-    "oimf": Variant.OIMF,
-    "foimf": Variant.FOIMF,
-    "roimf": Variant.ROIMF,
-    "fouimf": Variant.FOUIMF,
-    "rouimf": Variant.ROUIMF,
-}
-
-GRAM_SCHMIDT_VARIANTS = frozenset(POST_VARIANTS.values())
+POST_VARIANTS = {v.value.lower(): v for v in GRAM_SCHMIDT_VARIANTS}
 MULTIVARIATE_ALGOS = ("memd", "epmemd")
 
 OUTPUTS = ("imfs", "report", "spectrum", "marginal", "significance", "sweep")
@@ -189,31 +177,30 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
     }
 
 
-def _csv_signal(x: MultivariateSignal, labels: list[str],
-                meta: dict | None = None) -> str:
-    lines = []
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(["time"] + labels))
-    cols = [x.channels[0].times] + [ch.samples for ch in x.channels]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
+def _csv(header: str, rows, meta: dict | None = None) -> str:
+    """``# key=value`` lines, the header, then one line per row: floats
+    as ``F``, strings as they are. Rows are formatted one at a time, so
+    a lazy ``rows`` never holds a whole column of strings."""
+    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
+    lines.append(header)
+    lines.extend(",".join(v if isinstance(v, str) else F % v for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
-    """Components (then residue) as columns, channel-minor, with labels
-    and the variant/dc-constant metadata."""
+    """``_csv`` arguments: time, then the components (then residue) as
+    columns, channel-minor, and the variant/dc-constant metadata."""
     variant = channels[0].variant.value
     comps = [c for parts in zip(*(d.components for d in channels)) for c in parts]
     names = [f"{'imf' if multivariate else variant.lower()}{i}"
              for i in range(1, len(channels[0].imfs) + 1)] + ["residue"]
     meta = {"variant": variant,
-            "dc_constant": " ".join(_fmt(d.dc_constant) for d in channels)}
+            "dc_constant": " ".join(F % d.dc_constant for d in channels)}
     if multivariate:
         names = [f"{name}_ch{j}" for name in names for j in range(1, len(channels) + 1)]
         meta["channels"] = len(channels)
-    return MultivariateSignal(tuple(comps)), names, meta
+    return (",".join(["time", *names]),
+            zip(comps[0].times, *(c.samples for c in comps)), meta)
 
 
 def run_decompose(args) -> int:
@@ -254,12 +241,13 @@ def run_decompose(args) -> int:
         raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
 
     artifacts: dict[str, str] = {}
-    in_labels = [f"ch{j + 1}" for j in range(signal.n_channels)]
-    artifacts["input.csv"] = _csv_signal(signal, in_labels)
+    artifacts["input.csv"] = _csv(
+        ",".join(["time"] + [f"ch{j + 1}" for j in range(signal.n_channels)]),
+        zip(signal.channels[0].times, *(ch.samples for ch in signal.channels)))
 
     channels = _decompose(signal, args.algo, args.post, args.directions, scfg, ecfg)
     if "imfs" in outputs:
-        artifacts["imfs.csv"] = _csv_signal(*_component_table(channels, multivariate))
+        artifacts["imfs.csv"] = _csv(*_component_table(channels, multivariate))
     if "report" in outputs:
         reports = [_report_dict(x, d) for x, d in zip(signal.channels, channels)]
         payload = {"schema_version": SCHEMA_VERSION, "seed": seed}
@@ -275,41 +263,27 @@ def run_decompose(args) -> int:
             raise CliError("spectrum output needs at least one IMF")
         h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
                              n_time_bins=args.time_bins)
-        if "spectrum" in outputs:
-            lines = ["freq_bin,time_bin,energy"]
-            for fi, f_val in enumerate(h.freq_bins):
-                for ti, t_val in enumerate(h.time_bins):
-                    e = h.energy[fi, ti]
-                    if e != 0.0:
-                        lines.append(",".join(
-                            (_fmt(f_val), _fmt(t_val), _fmt(e))))
-            artifacts["spectrum.csv"] = "\n".join(lines) + "\n"
+        if "spectrum" in outputs:  # non-zero cells, frequency-major
+            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy", (
+                (f, t, e) for f, row in zip(h.freq_bins, h.energy)
+                for t, e in zip(h.time_bins[row != 0], row[row != 0])))
         if "marginal" in outputs:
-            lines = ["freq,energy"]
-            for f_val, e in zip(h.freq_bins, h.marginal):
-                lines.append(",".join((_fmt(f_val), _fmt(e))))
-            artifacts["marginal.csv"] = "\n".join(lines) + "\n"
+            artifacts["marginal.csv"] = _csv("freq,energy", zip(h.freq_bins, h.marginal))
     if "significance" in outputs:
         band_variant = d.variant
         if band_variant in (Variant.EEMD, Variant.OIMF, Variant.FOUIMF):
             band_variant = Variant.EMD
         band = white_noise_band(x.n, band_variant, trials=100, seed=seed,
                                 sample_rate=x.sample_rate, cfg=scfg)
-        pts = significance_test(d, band)
-        lines = ["component,mean_period,energy_density,inside"]
-        for i, p in enumerate(pts, start=1):
-            inside = "" if p.inside_bounds is None else str(p.inside_bounds).lower()
-            lines.append(",".join((f"imf{i}", _fmt(p.mean_period),
-                                   _fmt(p.energy_density), inside)))
-        artifacts["significance.csv"] = "\n".join(lines) + "\n"
+        artifacts["significance.csv"] = _csv(
+            "component,mean_period,energy_density,inside",
+            ((f"imf{i}", p.mean_period, p.energy_density,
+              "" if p.inside_bounds is None else str(p.inside_bounds).lower())
+             for i, p in enumerate(significance_test(d, band), start=1)))
 
     if "sweep" in outputs:
         fs_list = list(range(args.fs_start, args.fs_stop + 1, args.fs_step))
-        rows = sweep_io_t(fs_list, scfg)
-        lines = ["fs,io_t_emd,io_t_epemd"]
-        for fs, a, b in rows:
-            lines.append(",".join((_fmt(fs), _fmt(a), _fmt(b))))
-        artifacts["sweep.csv"] = "\n".join(lines) + "\n"
+        artifacts["sweep.csv"] = _csv("fs,io_t_emd,io_t_epemd", sweep_io_t(fs_list, scfg))
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

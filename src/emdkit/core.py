@@ -161,6 +161,15 @@ class Decomposition:
         return self.residue.with_samples(total)
 
 
+def _unit_exponent(*arrays) -> int:
+    """Exponent k for which ``np.ldexp(a, k)`` brings the largest |value|
+    of ``arrays`` into [0.5, 1). Scaling by a power of two is exact, so
+    ratios of dot products are unchanged, but the dots can neither
+    overflow nor underflow at huge or tiny amplitudes."""
+    peak = max(max(float(a.max()), -float(a.min())) for a in arrays)  # max |a|, no temporary
+    return -int(np.frexp(peak)[1])
+
+
 def inner_product(a: SampledSignal, b: SampledSignal) -> float:
     """Discrete inner product: sum(a*b) times the sample period."""
     a._check_compatible(b)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Decomposition, SampledSignal, Variant
+from .core import Decomposition, SampledSignal, Variant, _unit_exponent
 from .envelope import NoEnvelopeError, build_envelopes, detect_extrema
 
 logger = logging.getLogger(__name__)
@@ -89,10 +89,7 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     env = build_envelopes(x)  # propagate NoEnvelopeError on first pass
     for it in range(cfg.max_sift_iterations):
         h_new = h - env.mean.samples
-        # Scale by a power of two that brings max|h| into [0.5, 1): exact,
-        # so the ratio is unchanged, but the dots can neither overflow nor
-        # underflow for huge or tiny amplitudes.
-        e = -np.frexp(np.max(np.abs(h)))[1]
+        e = _unit_exponent(h)
         hs = np.ldexp(h, e)
         ds = np.ldexp(h - h_new, e)
         denom = float(np.dot(hs, hs))

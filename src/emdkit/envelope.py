@@ -139,66 +139,43 @@ def _mirror_extend(idx: np.ndarray, val: np.ndarray, n: int):
     )
 
 
-def _reflect_before(sym: float, idx: np.ndarray, val: np.ndarray, nbsym: int = 2):
-    """Knots mirrored about ``sym`` to the left of the record start."""
-    k = min(nbsym, idx.size)
-    return (2.0 * sym - idx[:k])[::-1], val[:k][::-1]
+def _reflect(sym: float, idx: np.ndarray, val: np.ndarray):
+    """The first two knots of ``idx`` mirrored about ``sym``, in time order."""
+    return (2.0 * sym - idx[:2])[::-1], val[:2][::-1]
 
 
-def _reflect_after(sym: float, idx: np.ndarray, val: np.ndarray, nbsym: int = 2):
-    """Knots mirrored about ``sym`` to the right of the record end."""
-    k = min(nbsym, idx.size)
-    return (2.0 * sym - idx[-k:])[::-1], val[-k:][::-1]
+def _start_knots(max_i, max_v, min_i, min_v, x0: float):
+    """Upper and lower knots before the record start (the mirror rule of
+    Rilling, Flandrin & Goncalves 2003).
 
-
-def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
-    """Extend both extrema sets past the record ends.
-
-    Extrema are mirrored about the end extremum; when the record
-    endpoint itself pokes outside the would-be envelopes it is anchored
-    as an extra extremum and the reflection pivots on the endpoint
-    instead, which keeps the end swing of the envelopes bounded.
+    Extrema are mirrored about the first extremum; when the start sample
+    ``x0`` pokes outside the would-be envelopes it is anchored as an
+    extra extremum and the reflection pivots on the record start
+    instead, which keeps the end swing of the envelopes bounded. Only
+    the three extrema of each kind nearest the start are read.
     """
-    # Left end.
     if max_i[0] < min_i[0]:
         if x0 > min_v[0]:
             sym = max_i[0]
-            lm = _reflect_before(sym, max_i[1:], max_v[1:])
-            ln = _reflect_before(sym, min_i, min_v)
-        else:
-            lm = _reflect_before(0.0, max_i, max_v)
-            ln = _reflect_before(0.0, np.concatenate(([0.0], min_i[:1])),
-                                 np.concatenate(([x0], min_v[:1])))
-    else:
-        if x0 < max_v[0]:
-            sym = min_i[0]
-            lm = _reflect_before(sym, max_i, max_v)
-            ln = _reflect_before(sym, min_i[1:], min_v[1:])
-        else:
-            lm = _reflect_before(0.0, np.concatenate(([0.0], max_i[:1])),
-                                 np.concatenate(([x0], max_v[:1])))
-            ln = _reflect_before(0.0, min_i, min_v)
+            return _reflect(sym, max_i[1:], max_v[1:]), _reflect(sym, min_i, min_v)
+        return (_reflect(0.0, max_i, max_v),
+                _reflect(0.0, np.concatenate(([0.0], min_i[:1])),
+                         np.concatenate(([x0], min_v[:1]))))
+    if x0 < max_v[0]:
+        sym = min_i[0]
+        return _reflect(sym, max_i, max_v), _reflect(sym, min_i[1:], min_v[1:])
+    return (_reflect(0.0, np.concatenate(([0.0], max_i[:1])),
+                     np.concatenate(([x0], max_v[:1]))),
+            _reflect(0.0, min_i, min_v))
 
-    # Right end.
+
+def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
+    """Extend both extrema sets past the record ends by ``_start_knots``;
+    the right end is the start of the time-reversed record."""
     e = float(n - 1)
-    if max_i[-1] > min_i[-1]:
-        if xe > min_v[-1]:
-            sym = max_i[-1]
-            rm = _reflect_after(sym, max_i[:-1], max_v[:-1])
-            rn = _reflect_after(sym, min_i, min_v)
-        else:
-            rm = _reflect_after(e, max_i, max_v)
-            rn = _reflect_after(e, np.concatenate((min_i[-1:], [e])),
-                                np.concatenate((min_v[-1:], [xe])))
-    else:
-        if xe < max_v[-1]:
-            sym = min_i[-1]
-            rm = _reflect_after(sym, max_i, max_v)
-            rn = _reflect_after(sym, min_i[:-1], min_v[:-1])
-        else:
-            rm = _reflect_after(e, np.concatenate((max_i[-1:], [e])),
-                                np.concatenate((max_v[-1:], [xe])))
-            rn = _reflect_after(e, min_i, min_v)
+    lm, ln = _start_knots(max_i, max_v, min_i, min_v, x0)
+    rm, rn = ((e - i[::-1], v[::-1]) for i, v in _start_knots(
+        e - max_i[:-4:-1], max_v[:-4:-1], e - min_i[:-4:-1], min_v[:-4:-1], xe))
 
     def _assemble(left, mid_i, mid_v, right):
         li, lv = left

@@ -18,8 +18,7 @@ from .core import (
     Decomposition,
     SampledSignal,
     Variant,
-    energy,
-    inner_product,
+    _unit_exponent,
 )
 from .emd import SiftConfig, _extract_modes, _sifter
 from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
@@ -38,12 +37,16 @@ class LinoepStage:
 
 def orthogonalize_stage(imf: SampledSignal, residue: SampledSignal) -> LinoepStage:
     """Project ``imf`` onto ``residue`` and split their sum into an
-    orthogonal pair; epimf + residue_out equals imf + residue exactly."""
-    e_res = energy(residue)
-    e_in = energy(imf) + e_res
+    orthogonal pair; epimf + residue_out equals imf + residue exactly.
+    The energies behind alpha are taken on exactly rescaled samples."""
+    imf._check_compatible(residue)
+    k = _unit_exponent(imf.samples, residue.samples)
+    u, r = np.ldexp(imf.samples, k), np.ldexp(residue.samples, k)
+    e_res = float(np.dot(r, r)) * imf.dt
+    e_in = float(np.dot(u, u)) * imf.dt + e_res
     if e_res <= ZERO_RESIDUE_THRESHOLD * e_in:
         return LinoepStage(0.0, imf, residue)
-    alpha = inner_product(imf, residue) / e_res
+    alpha = float(np.dot(u, r)) * imf.dt / e_res
     shift = alpha * residue.samples
     # Adding/subtracting the same float array keeps the sum exact.
     epimf = imf.with_samples(imf.samples - shift)
@@ -82,6 +85,7 @@ def verify_linoep(components) -> bool:
         ref._check_compatible(sig)
 
     stack = np.array([c.samples for c in components])
+    np.ldexp(stack, _unit_exponent(stack), out=stack)  # exact; keeps the dots finite
     dt = ref.dt
     e_total = float((stack * stack).sum()) * dt
     if e_total == 0.0:

@@ -25,11 +25,16 @@ from .core import (
     SampledSignal,
     Variant,
     remove_mean,
+    _unit_exponent,
 )
 from .emd import is_imf
 
 #: Relative energy below which a swept signal counts as linearly dependent.
 DEPENDENCE_THRESHOLD = 1e-12
+
+#: The variants ``orthogonal_variants`` produces.
+GRAM_SCHMIDT_VARIANTS = (Variant.OIMF, Variant.FOIMF, Variant.ROIMF,
+                         Variant.FOUIMF, Variant.ROUIMF)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,8 @@ def gram_schmidt(inputs) -> GsomResult:
 
     m = len(inputs)
     y = np.array([sig.samples for sig in inputs])
+    exp = _unit_exponent(y)  # the sweep runs on exactly rescaled samples
+    np.ldexp(y, exp, out=y)
     s = np.zeros_like(y)
     coeff = np.eye(m)
     for k in range(m):
@@ -73,13 +80,13 @@ def gram_schmidt(inputs) -> GsomResult:
         s[k] = v
 
     col_sums = coeff.sum(axis=0)
-    components = tuple(ref.with_samples(col_sums[i] * s[i]) for i in range(m))
+    components = tuple(ref.with_samples(np.ldexp(col_sums[i] * s[i], -exp)) for i in range(m))
     return GsomResult(components, coeff, col_sums)
 
 
 def _variant_ordering(d: Decomposition, variant: Variant):
-    """Input list in orthogonalization order plus an inverse permutation
-    mapping output positions back to (imf index..., residue)."""
+    """Component slots (IMF indices, then ``len(d.imfs)`` for the residue)
+    in orthogonalization order; OIMF leaves the residue out."""
     n = len(d.imfs)
     if variant is Variant.OIMF:
         order = list(range(n))  # IMFs only
@@ -95,45 +102,25 @@ def _variant_ordering(d: Decomposition, variant: Variant):
 def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
     """Apply Gram-Schmidt to ``d`` under the ordering implied by
     ``variant`` and relabel the output back into IMF-first order."""
-    comps = list(d.components)
+    order = _variant_ordering(d, variant)
+    out = list(d.components)
     dc = d.dc_constant
     if variant in (Variant.FOUIMF, Variant.ROUIMF):
-        means = []
-        centered = []
-        for sig in comps:
-            zm, mean = remove_mean(sig)
-            centered.append(zm)
-            means.append(mean)
-        comps = centered
-        dc += float(sum(means))
+        centred = [remove_mean(c) for c in out]
+        out = [zm for zm, _ in centred]
+        dc += float(sum(mean for _, mean in centred))
 
-    order = _variant_ordering(d, variant)
     # A (near-)zero component carries no direction to orthogonalize
     # against -- a constant residue centered by the uncorrelated variants
-    # is the common case -- so it passes through unchanged.
-    e_total = sum(float(np.dot(c.samples, c.samples)) for c in comps)
-    def _is_zero(i):
-        return float(np.dot(comps[i].samples, comps[i].samples)) <= 1e-24 * e_total
-    active = [i for i in order if not _is_zero(i)]
-    result = gram_schmidt([comps[i] for i in active])
-
-    # Scatter the outputs back: position -> original component slot.
-    n = len(d.imfs)
-    out: list[SampledSignal | None] = [None] * (n + 1)
-    for i in order:
-        if _is_zero(i):
-            out[i] = comps[i]
-    for pos, src in enumerate(active):
-        out[src] = result.orthogonal_components[pos]
-    if variant is Variant.OIMF:
-        out[n] = comps[n]  # residue appended unorthogonalized
-
-    return Decomposition(
-        imfs=tuple(out[:n]),
-        residue=out[n],
-        variant=variant,
-        dc_constant=dc,
-    )
+    # is the common case -- so, like OIMF's residue, it keeps its slot.
+    k = _unit_exponent(*(c.samples for c in out))
+    energies = [float(np.dot(s, s)) for s in (np.ldexp(c.samples, k) for c in out)]
+    e_total = sum(energies)
+    active = [i for i in order if energies[i] > 1e-24 * e_total]
+    result = gram_schmidt([out[i] for i in active])
+    for i, p in zip(active, result.orthogonal_components):
+        out[i] = p
+    return Decomposition(out[:-1], out[-1], variant, dc)
 
 
 def imf_property_report(components) -> list[bool]:

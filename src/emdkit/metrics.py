@@ -18,7 +18,7 @@ from .core import (
     DimensionMismatchError,
     SampledSignal,
     Variant,
-    energy,
+    _unit_exponent,
 )
 
 
@@ -59,11 +59,18 @@ def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
     is only approximate) the ratios are normalized by the energy of the
     reconstructed sum rather than of ``x``, and the reconstruction error
     is reported alongside.
+
+    Every ratio is taken on samples rescaled by one exact power of two,
+    so it is the same at any amplitude; the energies are scaled back and
+    are ``inf`` only where they exceed the float64 range.
     """
-    e_x = energy(x)
+    stack, labels = _component_stack(x, d)
+    k = _unit_exponent(x.samples, stack)
+    xs = np.ldexp(x.samples, k)
+    np.ldexp(stack, k, out=stack)
+    e_x = float(np.dot(xs, xs)) * x.dt
     if e_x == 0.0:
         raise ZeroDivisionError("zero-energy signal: orthogonality ratios undefined")
-    stack, labels = _component_stack(x, d)
 
     gram = (stack @ stack.T) * x.dt
     energies = np.diag(gram)
@@ -71,8 +78,7 @@ def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
     cross = float(gram.sum() - total_comp)
 
     recon = stack.sum(axis=0)
-    scale = float(np.max(np.abs(x.samples))) or 1.0
-    recon_err = float(np.max(np.abs(recon - x.samples))) / scale
+    recon_err = float(np.max(np.abs(recon - xs))) / float(np.max(np.abs(xs)))
 
     if d.variant is Variant.EEMD:
         e_ref = float(np.dot(recon, recon)) * x.dt
@@ -85,13 +91,13 @@ def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
     np.fill_diagonal(io_pairs, 0.0)
 
     return OrthoReport(
-        leakage_matrix=gram,
+        leakage_matrix=np.ldexp(gram, -2 * k),
         io_total=cross / e_ref,
         io_pairs=io_pairs,
         pee=(e_ref - total_comp) / e_ref * 100.0,
-        total_component_energy=total_comp,
-        signal_energy=e_x,
-        reference_energy=e_ref,
+        total_component_energy=float(np.ldexp(total_comp, -2 * k)),
+        signal_energy=float(np.ldexp(e_x, -2 * k)),
+        reference_energy=float(np.ldexp(e_ref, -2 * k)),
         reconstruction_error=recon_err,
         component_labels=labels,
     )

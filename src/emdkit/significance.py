@@ -18,7 +18,7 @@ import numpy as np
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
 from .emd import SiftConfig, emd, zero_crossing_count
 from .epemd import epemd
-from .gsom import orthogonal_variants
+from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
 #: Width of a log-period pooling bin, in octaves.
 OCTAVES_PER_BIN = 1.0
@@ -57,8 +57,7 @@ def _decompose_variant(x: SampledSignal, decomposer: Variant, cfg: SiftConfig) -
         return emd(x, cfg)
     if decomposer is Variant.EPEMD:
         return epemd(x, cfg)
-    if decomposer in (Variant.ROIMF, Variant.ROUIMF, Variant.FOIMF, Variant.FOUIMF,
-                      Variant.OIMF):
+    if decomposer in GRAM_SCHMIDT_VARIANTS:
         return orthogonal_variants(emd(x, cfg), decomposer)
     raise ValueError(f"unsupported decomposer {decomposer}")
 

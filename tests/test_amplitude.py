@@ -1,0 +1,68 @@
+"""Energy ratios at huge and tiny amplitudes.
+
+Scaling a signal by 2**k is exact, so every ratio (IO_T, Pee, IO_jk,
+EPEMD alphas, Gram-Schmidt coefficients) must come out bit for bit the
+same as for the unscaled signal, and every component must scale exactly.
+Absolute energies beyond the float64 range are not part of this contract.
+"""
+
+import numpy as np
+import pytest
+
+from emdkit import (
+    SampledSignal,
+    emd,
+    epemd,
+    orthogonal_variants,
+    ortho_report,
+    verify_linoep,
+)
+from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
+
+SCALES = [900, -900, 500, -500]
+
+
+def noise_pair(rng, k):
+    x = rng.standard_normal(512)
+    return SampledSignal(x, 1.0), SampledSignal(np.ldexp(x, k), 1.0)
+
+
+def assert_scaled(got, ref, k):
+    assert len(got.components) == len(ref.components)
+    for a, b in zip(got.components, ref.components):
+        assert np.array_equal(a.samples, np.ldexp(b.samples, k))
+    assert got.dc_constant == np.ldexp(ref.dc_constant, k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_ortho_report_ratios_are_scale_free(rng, k):
+    x0, x = noise_pair(rng, k)
+    ref, got = ortho_report(x0, emd(x0)), ortho_report(x, emd(x))
+    assert np.isfinite(got.io_total) and np.isfinite(got.pee)
+    assert got.io_total == ref.io_total
+    assert got.pee == ref.pee
+    assert np.array_equal(got.io_pairs, ref.io_pairs)
+    assert got.reconstruction_error == ref.reconstruction_error
+    if abs(k) == 500:  # energies are still inside the float64 range
+        assert got.signal_energy == np.ldexp(ref.signal_energy, 2 * k)
+        assert got.total_component_energy == np.ldexp(ref.total_component_energy, 2 * k)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_epemd_alphas_are_scale_free(rng, k):
+    x0, x = noise_pair(rng, k)
+    ref, got = epemd(x0), epemd(x)
+    assert got.diagnostics["alphas"] == ref.diagnostics["alphas"]
+    assert any(a != 0.0 for a in got.diagnostics["alphas"])
+    assert_scaled(got, ref, k)
+    assert verify_linoep(got.components)
+
+
+@pytest.mark.parametrize("k", SCALES)
+@pytest.mark.parametrize("variant", GRAM_SCHMIDT_VARIANTS)
+def test_gram_schmidt_variants_scale_exactly(rng, k, variant):
+    x0, x = noise_pair(rng, k)
+    ref = orthogonal_variants(emd(x0), variant)
+    got = orthogonal_variants(emd(x), variant)
+    assert_scaled(got, ref, k)
+    assert np.array_equal(ortho_report(x, got).io_pairs, ortho_report(x0, ref).io_pairs)

@@ -186,3 +186,30 @@ class TestBuildEnvelopes:
         assert env.upper.n == x.n and env.lower.n == x.n
         assert np.all(np.isfinite(env.upper.samples))
         assert np.all(np.isfinite(env.lower.samples))
+
+    def test_end_rule_is_symmetric_in_time(self, rng):
+        # Plateaus are left out on purpose: an even-length plateau centres
+        # on its left-middle sample, so reversing the record moves that
+        # extremum by one sample and the knots differ for that reason alone.
+        from emdkit.envelope import _boundary_knots
+
+        def knots(v):
+            ext = detect_extrema(sig(v))
+            return _boundary_knots(ext.max_idx.astype(float), ext.max_val,
+                                   ext.min_idx.astype(float), ext.min_val,
+                                   float(v[0]), float(v[-1]), v.size)
+
+        checked = 0
+        for n in range(8, 301):
+            t = np.arange(n)
+            freq, phase = rng.uniform(0.01, 0.45), rng.uniform(0.0, 2 * np.pi)
+            for v in (rng.standard_normal(n), np.sin(2 * np.pi * freq * t + phase)):
+                ext = detect_extrema(sig(v))
+                if np.any(v[1:] == v[:-1]) or min(ext.max_idx.size, ext.min_idx.size) < 2:
+                    continue
+                e = float(n - 1)
+                for (fi, fv), (ri, rv) in zip(knots(v), knots(v[::-1])):
+                    np.testing.assert_array_equal(ri, e - fi[::-1])
+                    np.testing.assert_array_equal(rv, fv[::-1])
+                checked += 1
+        assert checked > 500
