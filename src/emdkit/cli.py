@@ -160,6 +160,11 @@ def _decompose(signal: MultivariateSignal, algo: str, post: str | None, K: int,
     return channels
 
 
+def _energy(e) -> float | None:
+    """An absolute energy for JSON: null once it overflows to inf."""
+    return float(e) if np.isfinite(e) else None
+
+
 def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
     rep = ortho_report(x, d)
     return {
@@ -167,11 +172,11 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
         "pee": rep.pee,
         "io_total": rep.io_total,
         "component_labels": list(rep.component_labels),
-        "component_energies": [float(e) for e in np.diag(rep.leakage_matrix)],
+        "component_energies": [_energy(e) for e in np.diag(rep.leakage_matrix)],
         "io_pairs": [[float(v) for v in row] for row in rep.io_pairs],
-        "signal_energy": rep.signal_energy,
-        "reference_energy": rep.reference_energy,
-        "total_component_energy": rep.total_component_energy,
+        "signal_energy": _energy(rep.signal_energy),
+        "reference_energy": _energy(rep.reference_energy),
+        "total_component_energy": _energy(rep.total_component_energy),
         "reconstruction_error": rep.reconstruction_error,
         "dc_constant": d.dc_constant,
     }
@@ -255,7 +260,7 @@ def run_decompose(args) -> int:
             payload["channels"] = reports
         else:
             payload.update(reports[0])
-        artifacts["report.json"] = json.dumps(payload, indent=2) + "\n"
+        artifacts["report.json"] = json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     x, d = signal.channels[0], channels[0]
     if "spectrum" in outputs or "marginal" in outputs:

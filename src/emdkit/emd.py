@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_exponent
-from .envelope import NoEnvelopeError, build_envelopes, detect_extrema
+from .envelope import EnvelopePair, NoEnvelopeError, build_envelopes
 
 logger = logging.getLogger(__name__)
 
@@ -58,19 +58,18 @@ def zero_crossing_count(x: SampledSignal) -> int:
 def is_imf(x: SampledSignal) -> bool:
     """IMF test: extrema/zero-crossing counts differ by at most one and
     the envelope mean is small (max-norm <= 5% of max |x|)."""
-    ext = detect_extrema(x)
-    if ext.n_extrema == 0:
-        return False
-    if abs(ext.n_extrema - zero_crossing_count(x)) > 1:
-        return False
     try:
         env = build_envelopes(x)
     except NoEnvelopeError:
         return False
-    peak = float(np.max(np.abs(x.samples)))
-    if peak == 0.0:
+    return _imf_test(x, env)
+
+
+def _imf_test(x: SampledSignal, env: EnvelopePair) -> bool:
+    """The IMF test of ``x``, read from its envelope ``env``."""
+    if abs(env.extrema.n_extrema - zero_crossing_count(x)) > 1:
         return False
-    return float(np.max(np.abs(env.mean.samples))) <= 0.05 * peak
+    return float(np.max(np.abs(env.mean))) <= 0.05 * float(np.max(np.abs(x.samples)))
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
@@ -88,19 +87,21 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
         raise NoEnvelopeError("amplitude below the normal floating-point range")
     env = build_envelopes(x)  # propagate NoEnvelopeError on first pass
     for it in range(cfg.max_sift_iterations):
-        h_new = h - env.mean.samples
+        h_new = h - env.mean
         e = _unit_exponent(h)
         hs = np.ldexp(h, e)
         ds = np.ldexp(h - h_new, e)
         denom = float(np.dot(hs, hs))
         sd = float(np.dot(ds, ds)) / denom if denom > 0 else 0.0
         h = h_new
-        candidate = x.with_samples(h)
-        if sd <= cfg.sd_threshold or is_imf(candidate):
+        if sd <= cfg.sd_threshold:
             break
+        candidate = x.with_samples(h)
         try:
             env = build_envelopes(candidate)
         except NoEnvelopeError:
+            break
+        if _imf_test(candidate, env):
             break
     logger.debug("sift finished after %d iteration(s)", it + 1)
     imf = x.with_samples(h)

@@ -36,11 +36,14 @@ class ExtremaSet:
         return self.max_idx.size + self.min_idx.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays: compare fields explicitly
 class EnvelopePair:
-    upper: SampledSignal
-    lower: SampledSignal
-    mean: SampledSignal
+    """Envelope samples, their mean, and the extrema they were splined through."""
+
+    upper: np.ndarray
+    lower: np.ndarray
+    mean: np.ndarray
+    extrema: ExtremaSet
 
 
 def detect_extrema(x: SampledSignal) -> ExtremaSet:
@@ -207,11 +210,13 @@ def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
 def build_envelopes(x: SampledSignal) -> EnvelopePair:
     """Upper/lower natural-spline envelopes and their mean.
 
-    Raises NoEnvelopeError when there are fewer than two maxima or two
-    minima; the caller then treats ``x`` as the final residue. The
-    envelopes may cross locally (real EMD behavior), which is not an
-    error.
+    Raises NoEnvelopeError when ``x`` is too short for extrema or has
+    fewer than two maxima or two minima; the caller then treats ``x`` as
+    the final residue. The envelopes may cross locally (real EMD
+    behavior), which is not an error.
     """
+    if x.n < 3:
+        raise NoEnvelopeError("envelopes need at least 3 samples")
     ext = detect_extrema(x)
     if ext.max_idx.size < 2 or ext.min_idx.size < 2:
         raise NoEnvelopeError(
@@ -224,8 +229,4 @@ def build_envelopes(x: SampledSignal) -> EnvelopePair:
     )
     upper = cubic_spline(ui, uv, query)
     lower = cubic_spline(li, lv, query)
-    return EnvelopePair(
-        upper=x.with_samples(upper),
-        lower=x.with_samples(lower),
-        mean=x.with_samples((upper + lower) / 2.0),
-    )
+    return EnvelopePair(upper, lower, (upper + lower) / 2.0, ext)

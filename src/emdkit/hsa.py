@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
+from scipy.fft import fft, ifft
 
 from .core import Decomposition, InsufficientDataError, SampledSignal
 
@@ -37,7 +37,10 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
     """
     if x.n < 8:
         raise InsufficientDataError("analytic signal needs at least 8 samples")
-    z = hilbert(x.samples)
+    spec = fft(x.samples)
+    spec[1:(x.n + 1) // 2] *= 2.0
+    spec[x.n // 2 + 1:] = 0.0
+    z = ifft(spec)
     amplitude = np.abs(z)
     phase = np.unwrap(np.angle(z))
     if method == "phase_diff":

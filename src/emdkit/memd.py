@@ -192,11 +192,9 @@ def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarr
     return out
 
 
-def multivariate_mean_envelope(
-    x: MultivariateSignal, dirs: DirectionSet
-) -> MultivariateSignal:
+def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.ndarray:
     """Direction-averaged mean of the multidimensional upper and lower
-    envelopes.
+    envelopes, as an (n, n_channels) array.
 
     Directions whose projection lacks two maxima or two minima are
     skipped; if every direction is skipped the signal has no envelope.
@@ -221,7 +219,7 @@ def multivariate_mean_envelope(
         used += 1
     if used == 0:
         raise NoEnvelopeError("no direction projection has enough extrema")
-    return x.from_array(acc / used)
+    return acc / used
 
 
 def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
@@ -229,21 +227,18 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
     the stoppage ratio holds. Returns (mode, residue) or None when no
     envelope exists (end of decomposition)."""
-    mode = x.as_array().copy()
+    mode = x.as_array()
     work = x
-    for _ in range(cfg.max_sift_iterations):
+    for it in range(cfg.max_sift_iterations):
         try:
             env = multivariate_mean_envelope(work, dirs)
         except NoEnvelopeError:
-            if np.array_equal(mode, x.as_array()):
+            if it == 0:
                 return None
             break
-        env_arr = env.as_array()
-        if float(np.max(np.abs(env_arr))) <= ENVELOPE_RATIO_THRESHOLD * float(
-            np.max(np.abs(mode))
-        ):
+        if float(np.max(np.abs(env))) <= ENVELOPE_RATIO_THRESHOLD * float(np.max(np.abs(mode))):
             break
-        mode = mode - env_arr
+        mode = mode - env
         work = x.from_array(mode)
     residue = x.from_array(x.as_array() - mode)
     return x.from_array(mode), residue

@@ -241,6 +241,34 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert [line.startswith("error: zero-energy signal") for line in err] == [True, True]
 
+    def test_report_is_strict_json_at_huge_amplitude(self, tmp_path, capsys):
+        # Absolute energies overflow to inf here; JSON has no Infinity.
+        v = np.random.default_rng(4).standard_normal(512) * 2.0 ** 900
+        p = tmp_path / "huge.csv"
+        write_csv(p, [SampledSignal(v, 100.0)])
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["decompose", "--input", str(p), "--output-dir", str(out)]) == 0
+            assert main(["verify", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert np.isfinite(rep["pee"]) and np.isfinite(rep["io_total"])
+        assert rep["signal_energy"] is None and None in rep["component_energies"]
+
+    def test_two_rows_give_zero_imfs(self, tmp_path, capsys):
+        p = tmp_path / "two.csv"
+        p.write_text("time,ch1\n0,1\n1,2\n")
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--output-dir", str(out)]) == 0
+        assert "imf1" not in (out / "imfs.csv").read_text()
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
+
     def test_unknown_output(self, two_tone_csv, tmp_path):
         assert main(["decompose", "--input", str(two_tone_csv),
                      "--out", "bogus",

@@ -1,14 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
 from emdkit import (
     EemdConfig,
+    MultivariateSignal,
+    NoEnvelopeError,
     SampledSignal,
     SiftConfig,
     Variant,
+    build_envelopes,
+    detect_extrema,
     eemd,
     emd,
+    epemd,
     is_imf,
+    memd,
     sift_one_imf,
 )
 from emdkit.emd import zero_crossing_count
@@ -47,6 +55,19 @@ class TestZeroCrossings:
         assert zero_crossing_count(sig([1, 0, -1])) == 1
 
 
+def _reference_is_imf(x):
+    """The IMF test as first written: its own extrema, then the envelope."""
+    ext = detect_extrema(x)
+    if ext.n_extrema == 0 or abs(ext.n_extrema - zero_crossing_count(x)) > 1:
+        return False
+    try:
+        env = build_envelopes(x)
+    except NoEnvelopeError:
+        return False
+    peak = float(np.max(np.abs(x.samples)))
+    return peak != 0.0 and float(np.max(np.abs(env.mean))) <= 0.05 * peak
+
+
 class TestIsImf:
     def test_pure_sine(self):
         assert is_imf(sine(5.0, 500.0, 2.0))
@@ -60,8 +81,44 @@ class TestIsImf:
         x = sig(np.sin(2 * np.pi * 3 * t) + np.sin(2 * np.pi * 40 * t), rate)
         assert not is_imf(x)
 
+    def test_matches_reference_rule(self, rng):
+        verdicts = []
+        for i in range(600):
+            n = int(rng.integers(3, 41))
+            if i % 3 == 0:  # plateau-heavy
+                v = np.round(rng.standard_normal(n))
+            elif i % 3 == 1:
+                v = np.sin(np.arange(n) * rng.uniform(0.2, 2.0)) + 0.01 * rng.standard_normal(n)
+            else:
+                v = rng.standard_normal(n)
+            x = sig(v)
+            verdicts.append(is_imf(x))
+            assert verdicts[-1] == _reference_is_imf(x), v
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_two_samples_are_not_an_imf(self):
+        assert not is_imf(sig([1.0, 2.0]))
+
 
 class TestSiftOneImf:
+    def test_one_extrema_pass_per_envelope(self, rng, monkeypatch):
+        env_mod, emd_mod = sys.modules["emdkit.envelope"], sys.modules["emdkit.emd"]
+        calls = {"extrema": 0, "envelopes": 0, "is_imf": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(env_mod, "detect_extrema", counted("extrema", env_mod.detect_extrema))
+        monkeypatch.setattr(emd_mod, "build_envelopes", counted("envelopes", emd_mod.build_envelopes))
+        monkeypatch.setattr(emd_mod, "is_imf", counted("is_imf", emd_mod.is_imf))
+        d = emd_mod.emd(sig(rng.standard_normal(512)))
+        assert len(d.imfs) > 2
+        assert calls["extrema"] == calls["envelopes"] > 0
+        assert calls["is_imf"] == 0
+
     def test_completeness_is_exact(self, rng):
         x = sig(rng.standard_normal(400), 100.0)
         imf, residue = sift_one_imf(x)
@@ -138,6 +195,15 @@ class TestEmd:
             for a, b in zip(got.imfs, ref.imfs):
                 assert np.array_equal(a.samples, b.samples * 2.0 ** k)
             assert np.array_equal(got.residue.samples, ref.residue.samples * 2.0 ** k)
+
+    def test_two_samples_give_zero_imfs(self):
+        x = sig([1.0, 2.0])
+        decomps = [emd(x), epemd(x), eemd(x, ecfg=EemdConfig(ensemble_size=3)),
+                   memd(MultivariateSignal((x,)), 8).channels[0]]
+        for d in decomps:
+            assert d.imfs == ()
+        for d in decomps[:2] + decomps[3:]:
+            np.testing.assert_array_equal(d.residue.samples, x.samples)
 
     def test_subnormal_amplitude_is_residue(self, rng):
         x = sig(rng.standard_normal(512) * 2.0 ** -1060)

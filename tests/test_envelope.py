@@ -153,7 +153,7 @@ class TestBuildEnvelopes:
         x = sine(5.0, 500.0, 2.0)
         env = build_envelopes(x)
         n = x.n
-        central = env.mean.samples[n // 10: -n // 10]
+        central = env.mean[n // 10: -n // 10]
         assert float(np.max(np.abs(central))) < 0.05
 
     def test_single_bump_has_no_envelope(self):
@@ -170,22 +170,22 @@ class TestBuildEnvelopes:
         analytic_upper = np.sin(2 * np.pi * 3 * t) + 0.2
         n = x.n
         central = slice(n // 10, -n // 10)
-        err = np.max(np.abs(env.upper.samples[central] - analytic_upper[central]))
+        err = np.max(np.abs(env.upper[central] - analytic_upper[central]))
         assert err < 0.1 * 1.2  # within 10% of the slow-component amplitude
 
     def test_mean_is_exact_average(self):
         x = sine(7.0, 300.0, 1.0)
         env = build_envelopes(x)
         np.testing.assert_array_equal(
-            env.mean.samples, (env.upper.samples + env.lower.samples) / 2.0
+            env.mean, (env.upper + env.lower) / 2.0
         )
 
     def test_envelopes_cover_full_record(self):
         x = sine(3.0, 100.0, 1.0, phase=0.4)
         env = build_envelopes(x)
-        assert env.upper.n == x.n and env.lower.n == x.n
-        assert np.all(np.isfinite(env.upper.samples))
-        assert np.all(np.isfinite(env.lower.samples))
+        assert env.upper.size == x.n and env.lower.size == x.n
+        assert np.all(np.isfinite(env.upper))
+        assert np.all(np.isfinite(env.lower))
 
     def test_end_rule_is_symmetric_in_time(self, rng):
         # Plateaus are left out on purpose: an even-length plateau centres

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emdkit
 from emdkit import (
     CHIRP_TF_PRESET,
     InsufficientDataError,
@@ -72,12 +78,22 @@ class TestAnalyticSignal:
         with pytest.raises(InsufficientDataError):
             analytic_signal(SampledSignal(np.arange(4, dtype=float), 1.0))
 
-    def test_roundtrip_real_part(self, rng):
-        from scipy.signal import hilbert
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_matches_scipy_hilbert_bit_for_bit(self, rng, n):
+        from scipy.signal import hilbert  # reference only; the library avoids it
 
-        v = rng.standard_normal(256)
+        v = rng.standard_normal(n)
         z = hilbert(v)
-        assert np.max(np.abs(z.real - v)) <= 1e-10
+        a = analytic_signal(SampledSignal(v, 1.0))
+        assert np.array_equal(a.amplitude, np.abs(z))
+        assert np.array_equal(a.phase, np.unwrap(np.angle(z)))
+
+    def test_import_leaves_out_scipy_signal(self):
+        code = ("import sys, emdkit, emdkit.cli; "
+                "sys.exit('scipy.signal' in sys.modules)")
+        src = str(Path(emdkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_if_invariant_under_positive_scaling(self):
         x = cos_signal(15.0, 500.0, 1024)

@@ -120,7 +120,7 @@ class TestMeanEnvelope:
         uni = build_envelopes(s).mean
         n = s.n
         central = slice(n // 10, -n // 10)
-        diff = np.max(np.abs(env.channels[0].samples[central] - uni.samples[central]))
+        diff = np.max(np.abs(env[central, 0] - uni[central]))
         assert diff <= 0.05 * float(np.max(np.abs(s.samples)))
 
     def test_constant_signal_has_no_envelope(self):
@@ -134,9 +134,9 @@ class TestMeanEnvelope:
                                            duration=4.0, seed=3))
         dirs = hammersley_directions(4, 64)
         env = multivariate_mean_envelope(x, dirs)
-        after = x.from_array(x.as_array() - env.as_array())
+        after = x.from_array(x.as_array() - env)
         env2 = multivariate_mean_envelope(after, dirs)
-        e_env = sum(float(np.sum(c.samples ** 2)) for c in env2.channels)
+        e_env = sum(float(np.sum(c ** 2)) for c in env2.T)
         e_sig = sum(float(np.sum(c.samples ** 2)) for c in x.channels)
         assert e_env < 0.1 * e_sig
 
