@@ -90,6 +90,55 @@ def _dense_natural_spline(t, y, q):
     return out
 
 
+def _reference_start_knots(max_i, max_v, min_i, min_v, x0):
+    """The array end-knot rule that ``build_envelopes`` must reproduce."""
+    def reflect(sym, idx, val):
+        return (2.0 * sym - idx[:2])[::-1], val[:2][::-1]
+
+    if max_i[0] < min_i[0]:
+        if x0 > min_v[0]:
+            sym = max_i[0]
+            return reflect(sym, max_i[1:], max_v[1:]), reflect(sym, min_i, min_v)
+        return (reflect(0.0, max_i, max_v),
+                reflect(0.0, np.concatenate(([0.0], min_i[:1])),
+                        np.concatenate(([x0], min_v[:1]))))
+    if x0 < max_v[0]:
+        sym = min_i[0]
+        return reflect(sym, max_i, max_v), reflect(sym, min_i[1:], min_v[1:])
+    return (reflect(0.0, np.concatenate(([0.0], max_i[:1])),
+                    np.concatenate(([x0], max_v[:1]))),
+            reflect(0.0, min_i, min_v))
+
+
+def _reference_envelopes(v):
+    """Reference envelope build: array end knots, then one natural spline
+    per envelope through ``cubic_spline`` on the sample grid."""
+    n = v.size
+    ext = detect_extrema(sig(v))
+    max_i, max_v = ext.max_idx.astype(float), ext.max_val
+    min_i, min_v = ext.min_idx.astype(float), ext.min_val
+    x0, xe, e = float(v[0]), float(v[-1]), float(n - 1)
+    lm, ln = _reference_start_knots(max_i, max_v, min_i, min_v, x0)
+    rm, rn = ((e - i[::-1], w[::-1]) for i, w in _reference_start_knots(
+        e - max_i[:-4:-1], max_v[:-4:-1], e - min_i[:-4:-1], min_v[:-4:-1], xe))
+
+    def knots(left, mid_i, mid_v, right, value_left, value_right):
+        ti = np.concatenate((left[0], mid_i, right[0]))
+        tv = np.concatenate((left[1], mid_v, right[1]))
+        keep = np.concatenate(([True], np.diff(ti) > 0))
+        ti, tv = ti[keep], tv[keep]
+        if ti[0] > 0:
+            ti, tv = np.concatenate(([0.0], ti)), np.concatenate(([value_left], tv))
+        if ti[-1] < e:
+            ti, tv = np.concatenate((ti, [e])), np.concatenate((tv, [value_right]))
+        return ti, tv
+
+    ui, uv = knots(lm, max_i, max_v, rm, max(x0, max_v[0]), max(xe, max_v[-1]))
+    li, lv = knots(ln, min_i, min_v, rn, min(x0, min_v[0]), min(xe, min_v[-1]))
+    query = np.arange(n, dtype=float)
+    return cubic_spline(ui, uv, query), cubic_spline(li, lv, query), ui.size, li.size
+
+
 class TestCubicSpline:
     def test_two_knots_is_linear(self):
         assert cubic_spline([0, 1], [0, 1], [0.5])[0] == pytest.approx(0.5)
@@ -186,6 +235,49 @@ class TestBuildEnvelopes:
         assert env.upper.size == x.n and env.lower.size == x.n
         assert np.all(np.isfinite(env.upper))
         assert np.all(np.isfinite(env.lower))
+
+
+    def test_matches_reference_build_byte_for_byte(self, rng):
+        # White noise, plateau-heavy rounded noise (signed zeros included),
+        # random walks, sines at 1e+-5, sines of about two periods (two
+        # extrema of a kind: the smallest systems), n = 3...400, and copies
+        # of the noise and walks scaled by 2**+-900.
+        built = smallest = 0
+        fewest = np.inf
+        for n in range(3, 401):
+            t = np.arange(n)
+            noise = rng.standard_normal(n)
+            walk = np.cumsum(rng.standard_normal(n))
+            amp = 1e5 if n % 2 else 1e-5
+            signals = [
+                noise,
+                np.round(rng.standard_normal(n) * rng.uniform(0.3, 3.0)),
+                walk,
+                amp * np.sin(2 * np.pi * rng.uniform(0.01, 0.45) * t
+                             + rng.uniform(0.0, 2 * np.pi)),
+                np.sin(2 * np.pi * rng.uniform(1.6, 2.4) * t / n
+                       + rng.uniform(0.0, 2 * np.pi)),
+            ]
+            signals += [np.ldexp(w, k) for w in (noise, walk) for k in (900, -900)]
+            for v in signals:
+                ext = detect_extrema(sig(v))
+                if min(ext.max_idx.size, ext.min_idx.size) < 2:
+                    with pytest.raises(NoEnvelopeError):
+                        build_envelopes(sig(v))
+                    continue
+                upper, lower, ku, kl = _reference_envelopes(v)
+                env = build_envelopes(sig(v))
+                assert env.upper.tobytes() == upper.tobytes()
+                assert env.lower.tobytes() == lower.tobytes()
+                assert env.mean.tobytes() == ((upper + lower) / 2.0).tobytes()
+                built += 1
+                fewest = min(fewest, ku, kl)
+                smallest += min(ku, kl) == 5
+        assert built > 3000
+        # Two extrema of a kind give the smallest system: five knots, three
+        # interior equations. A reflection adds at least one knot at each
+        # end, so no envelope system is 1x1.
+        assert fewest == 5 and smallest > 100
 
     def test_end_rule_is_symmetric_in_time(self, rng):
         # Plateaus are left out on purpose: an even-length plateau centres
