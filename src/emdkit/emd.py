@@ -166,7 +166,10 @@ def eemd(
     (residual noise ~ sigma/sqrt(N)); the reconstruction error is
     reported in ``diagnostics``.
     """
-    sigma = ecfg.noise_stddev_ratio * float(np.std(x.samples))
+    # sigma is taken on samples rescaled by a power of two, so that the
+    # squares in std neither overflow nor underflow at any amplitude.
+    k = _unit_exponent(x.samples)
+    sigma = ecfg.noise_stddev_ratio * float(np.ldexp(np.std(np.ldexp(x.samples, k)), -k))
     trials = []
     for i in range(ecfg.ensemble_size):
         noise = _trial_rng(ecfg.rng_seed, i).standard_normal(x.n) * sigma

@@ -7,6 +7,7 @@ fitting, so both envelopes are defined over the full record.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,23 +91,54 @@ def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
     idx -= 1
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, t.size - 2, out=idx)
-    idx1 = idx + 1
+    return _evaluate(t, y, h, m, idx, q)
+
+
+def _evaluate(t, y, h, m, idx, q) -> np.ndarray:
+    """The spline with knots ``t``, values ``y``, spacings ``h`` and second
+    derivatives ``m`` at ``q``, each query on the piece from knot ``idx``
+    to knot ``idx + 1``: ``a*y0 + b*y1 + ((a**3 - a)*m0 + (b**3 - b)*m1)
+    * hi**2 / 6`` with ``a = (t1 - q)/hi``, ``b = (q - t0)/hi``, in that
+    order of operations, with temporaries reused in place.
+    """
     hi = h[idx]
-    a = (t[idx1] - q) / hi
-    b = (q - t[idx]) / hi
-    return (
-        a * y[idx]
-        + b * y[idx1]
-        + ((a**3 - a) * m[idx] + (b**3 - b) * m[idx1]) * hi**2 / 6.0
-    )
+    a = t[1:][idx]
+    a -= q
+    a /= hi
+    b = q - t[idx]
+    b /= hi
+    out = y[idx]
+    out *= a
+    w = y[1:][idx]
+    w *= b
+    out += w
+    np.power(a, 3, out=w)
+    w -= a
+    w *= m[idx]
+    np.power(b, 3, out=a)
+    a -= b
+    a *= m[1:][idx]
+    w += a
+    hi *= hi
+    w *= hi
+    w /= 6.0
+    out += w
+    return out
 
 
-def _natural_second_derivatives(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _natural_second_derivatives(h: np.ndarray, y: np.ndarray, split: int = 0) -> np.ndarray:
     """Second derivatives at the knots of a natural cubic spline with knot
     spacings ``h`` and values ``y``.
 
     The interior equations form a symmetric tridiagonal system, solved
     by LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting).
+    With ``split`` > 0 the knots hold two splines, knots ``[0, split)``
+    and ``[split, y.size)``, and ``h[split - 1]`` is no spacing. Both are
+    solved in one block-diagonal system: the two rows of the inner end
+    knots become ``1 * m = 0`` and every coupling entry next to them is
+    0. Elimination then never pivots across a block and its multiplier
+    there is exactly 0, so each block gets the same arithmetic as when
+    solved alone.
     """
     m = np.zeros(y.size)
     if y.size == 2:
@@ -121,8 +153,12 @@ def _natural_second_derivatives(h: np.ndarray, y: np.ndarray) -> np.ndarray:
         return m
     # dgtsv overwrites all four arguments in place; the off-diagonals are
     # fresh copies so that ``h`` survives for the evaluation.
-    off = h[1:-1]
-    _, _, _, m[1:-1], info = dgtsv(off.copy(), diag, off.copy(), rhs, overwrite_dl=1,
+    dl = h[1:-1].copy()
+    if split:
+        diag[split - 2:split] = 1.0
+        rhs[split - 2:split] = 0.0
+        dl[split - 3:split] = 0.0
+    _, _, _, m[1:-1], info = dgtsv(dl, diag, dl.copy(), rhs, overwrite_dl=1,
                                    overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
         raise LinAlgError("singular matrix")
@@ -142,69 +178,89 @@ def _mirror_extend(idx: np.ndarray, val: np.ndarray, n: int):
     )
 
 
-def _reflect(sym: float, idx: np.ndarray, val: np.ndarray):
+def _reflect(sym: float, idx: list, val: list):
     """The first two knots of ``idx`` mirrored about ``sym``, in time order."""
-    return (2.0 * sym - idx[:2])[::-1], val[:2][::-1]
+    return [2.0 * sym - i for i in idx[1::-1]], val[1::-1]
 
 
-def _start_knots(max_i, max_v, min_i, min_v, x0: float):
+def _start_knots(max_i: list, max_v: list, min_i: list, min_v: list, x0: float):
     """Upper and lower knots before the record start (the mirror rule of
-    Rilling, Flandrin & Goncalves 2003).
+    Rilling, Flandrin & Goncalves 2003), from the (at most) three extrema
+    of each kind nearest the start, as Python lists.
 
     Extrema are mirrored about the first extremum; when the start sample
     ``x0`` pokes outside the would-be envelopes it is anchored as an
     extra extremum and the reflection pivots on the record start
-    instead, which keeps the end swing of the envelopes bounded. Only
-    the three extrema of each kind nearest the start are read.
+    instead, which keeps the end swing of the envelopes bounded.
     """
     if max_i[0] < min_i[0]:
         if x0 > min_v[0]:
             sym = max_i[0]
             return _reflect(sym, max_i[1:], max_v[1:]), _reflect(sym, min_i, min_v)
         return (_reflect(0.0, max_i, max_v),
-                _reflect(0.0, np.concatenate(([0.0], min_i[:1])),
-                         np.concatenate(([x0], min_v[:1]))))
+                _reflect(0.0, [0.0, min_i[0]], [x0, min_v[0]]))
     if x0 < max_v[0]:
         sym = min_i[0]
         return _reflect(sym, max_i, max_v), _reflect(sym, min_i[1:], min_v[1:])
-    return (_reflect(0.0, np.concatenate(([0.0], max_i[:1])),
-                     np.concatenate(([x0], max_v[:1]))),
+    return (_reflect(0.0, [0.0, max_i[0]], [x0, max_v[0]]),
             _reflect(0.0, min_i, min_v))
 
 
 def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
-    """Extend both extrema sets past the record ends by ``_start_knots``;
-    the right end is the start of the time-reversed record."""
+    """Upper and lower knot arrays ``(t, v)``: the extrema (indices int or
+    float) extended past the record ends by ``_start_knots``, the right
+    end being the start of the time-reversed record. Reflected knots
+    always lie outside the extrema they extend; a record end that no
+    reflection reaches is anchored at the nearer of the end sample and
+    the end extremum."""
     e = float(n - 1)
-    lm, ln = _start_knots(max_i, max_v, min_i, min_v, x0)
-    rm, rn = ((e - i[::-1], v[::-1]) for i, v in _start_knots(
-        e - max_i[:-4:-1], max_v[:-4:-1], e - min_i[:-4:-1], min_v[:-4:-1], xe))
+    lm, ln = _start_knots(max_i[:3].tolist(), max_v[:3].tolist(),
+                          min_i[:3].tolist(), min_v[:3].tolist(), x0)
+    rm, rn = _start_knots([e - i for i in max_i[:-4:-1].tolist()], max_v[:-4:-1].tolist(),
+                          [e - i for i in min_i[:-4:-1].tolist()], min_v[:-4:-1].tolist(), xe)
 
-    def _assemble(left, mid_i, mid_v, right):
-        li, lv = left
-        ri, rv = right
-        ti = np.concatenate((li, mid_i, ri))
-        tv = np.concatenate((lv, mid_v, rv))
-        # Reflection can produce coincident knots (pivot on an extremum);
-        # keep the first of any duplicate pair.
-        keep = np.concatenate(([True], np.diff(ti) > 0))
-        return ti[keep], tv[keep]
-
-    # Anchor the endpoint whenever reflection failed to span the record.
-    def _cover(ti, tv, value_left, value_right):
+    def knots(left, mid_i, mid_v, right, pick):
+        ti, tv = left
+        ri = [e - i for i in right[0][::-1]]
+        rv = right[1][::-1]
         if ti[0] > 0:
-            ti = np.concatenate(([0.0], ti))
-            tv = np.concatenate(([value_left], tv))
-        if ti[-1] < e:
-            ti = np.concatenate((ti, [e]))
-            tv = np.concatenate((tv, [value_right]))
-        return ti, tv
+            ti, tv = [0.0] + ti, [pick(x0, mid_v[0])] + tv
+        if ri[-1] < e:
+            ri, rv = ri + [e], rv + [pick(xe, mid_v[-1])]
+        return np.concatenate((ti, mid_i, ri)), np.concatenate((tv, mid_v, rv))
 
-    ui, uv = _assemble(lm, max_i, max_v, rm)
-    li, lv = _assemble(ln, min_i, min_v, rn)
-    ui, uv = _cover(ui, uv, max(x0, max_v[0]), max(xe, max_v[-1]))
-    li, lv = _cover(li, lv, min(x0, min_v[0]), min(xe, min_v[-1]))
-    return (ui, uv), (li, lv)
+    return knots(lm, max_i, max_v, rm, max), knots(ln, min_i, min_v, rn, min)
+
+
+def _grid_pair(ui, uv, li, lv, n: int) -> np.ndarray:
+    """The natural splines through the upper knots ``ui``/``uv`` and the
+    lower knots ``li``/``lv`` on the sample grid 0...n-1, as one array of
+    2n values (upper, then lower): one block solve, one evaluation.
+
+    The knots are whole numbers covering the grid, so the piece of each
+    grid point follows from counting grid points per knot gap, with the
+    point n-1 on a block's last piece, as a clamped search would place
+    it.
+    """
+    ku = ui.size
+    t = np.concatenate((ui, li))
+    y = np.concatenate((uv, lv))
+    h = t[1:] - t[:-1]
+    m = _natural_second_derivatives(h, y, split=ku)
+    c = t.astype(np.intp)
+    np.clip(c, 0, n, out=c)
+    c[ku - 1] = c[-1] = n
+    counts = c[1:] - c[:-1]
+    counts[ku - 1] = 0  # the gap between the blocks holds no grid point
+    grid = np.arange(n, dtype=float)
+    idx = np.repeat(np.arange(t.size - 1), counts)
+    return _evaluate(t, y, h, m, idx, np.concatenate((grid, grid)))
+
+
+#: Peak |knot value| range with ample headroom for the envelope arithmetic:
+#: for records shorter than 2**40 samples no intermediate overflows, and
+#: none leaves the normal range unless it is over 2**500 below the peak.
+_SAFE_PEAK = (2.0**-500, 2.0**500)
 
 
 def build_envelopes(x: SampledSignal) -> EnvelopePair:
@@ -213,7 +269,9 @@ def build_envelopes(x: SampledSignal) -> EnvelopePair:
     Raises NoEnvelopeError when ``x`` is too short for extrema or has
     fewer than two maxima or two minima; the caller then treats ``x`` as
     the final residue. The envelopes may cross locally (real EMD
-    behavior), which is not an error.
+    behavior), which is not an error. At any finite amplitude the result
+    is the envelope pair of ``x`` rescaled by a power of two, scaled
+    back: outside ``_SAFE_PEAK`` the build runs on such a copy.
     """
     if x.n < 3:
         raise NoEnvelopeError("envelopes need at least 3 samples")
@@ -222,11 +280,20 @@ def build_envelopes(x: SampledSignal) -> EnvelopePair:
         raise NoEnvelopeError(
             f"need >= 2 maxima and >= 2 minima, got {ext.max_idx.size}/{ext.min_idx.size}"
         )
-    query = np.arange(x.n, dtype=float)
+    x0, xe = float(x.samples[0]), float(x.samples[-1])
     (ui, uv), (li, lv) = _boundary_knots(
-        ext.max_idx.astype(float), ext.max_val, ext.min_idx.astype(float), ext.min_val,
-        float(x.samples[0]), float(x.samples[-1]), x.n,
-    )
-    upper = cubic_spline(ui, uv, query)
-    lower = cubic_spline(li, lv, query)
-    return EnvelopePair(upper, lower, (upper + lower) / 2.0, ext)
+        ext.max_idx, ext.max_val, ext.min_idx, ext.min_val, x0, xe, x.n)
+    # Every knot value is an extremum or an end sample; the largest |value|
+    # among them is the largest maximum or the smallest minimum, or an end.
+    peak = max(float(ext.max_val.max()), -float(ext.min_val.min()), abs(x0), abs(xe))
+    k = 0 if _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] else -math.frexp(peak)[1]
+    if k:
+        uv, lv = np.ldexp(uv, k), np.ldexp(lv, k)
+    pair = _grid_pair(ui, uv, li, lv, x.n)
+    upper, lower = pair[:x.n], pair[x.n:]
+    mean = (upper + lower) / 2.0
+    if k:
+        with np.errstate(over="ignore"):  # an envelope past the float64 range is inf
+            np.ldexp(pair, -k, out=pair)
+            np.ldexp(mean, -k, out=mean)
+    return EnvelopePair(upper, lower, mean, ext)

@@ -1,16 +1,21 @@
-"""Energy ratios at huge and tiny amplitudes.
+"""Decompositions and energy ratios at huge and tiny amplitudes.
 
 Scaling a signal by 2**k is exact, so every ratio (IO_T, Pee, IO_jk,
 EPEMD alphas, Gram-Schmidt coefficients) must come out bit for bit the
-same as for the unscaled signal, and every component must scale exactly.
-Absolute energies beyond the float64 range are not part of this contract.
+same as for the unscaled signal, and every component must scale exactly,
+up to the top of the float64 range. Absolute energies beyond that range
+are inf, without a warning.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 
 from emdkit import (
+    EemdConfig,
     SampledSignal,
+    eemd,
     emd,
     epemd,
     orthogonal_variants,
@@ -66,3 +71,40 @@ def test_gram_schmidt_variants_scale_exactly(rng, k, variant):
     got = orthogonal_variants(emd(x), variant)
     assert_scaled(got, ref, k)
     assert np.array_equal(ortho_report(x, got).io_pairs, ortho_report(x0, ref).io_pairs)
+
+
+@pytest.mark.parametrize("k", [600, -600, 900, -900])
+def test_eemd_scales_exactly(rng, k):
+    x = rng.standard_normal(256)
+    cfg = EemdConfig(ensemble_size=4)
+    ref = eemd(SampledSignal(x, 1.0), ecfg=cfg)
+    got = eemd(SampledSignal(np.ldexp(x, k), 1.0), ecfg=cfg)
+    assert_scaled(got, ref, k)
+    assert got.diagnostics == ref.diagnostics
+
+
+@pytest.mark.parametrize("k", [1019, 1022])
+@pytest.mark.parametrize("algo", [emd, epemd])
+def test_decomposition_scales_exactly_near_the_float64_maximum(rng, algo, k):
+    # White noise x 2**1022 peaks just below the float64 maximum; the
+    # spline system's right-hand side alone can reach ~24x the peak.
+    x0, x = noise_pair(rng, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = algo(x)
+    ref = algo(x0)
+    assert len(ref.imfs) > 2
+    assert_scaled(got, ref, k)
+
+
+def test_ortho_report_energies_overflow_to_inf_silently(rng):
+    x0, x = noise_pair(rng, 1000)
+    d = emd(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ortho_report(x, d)
+    ref = ortho_report(x0, emd(x0))
+    assert got.signal_energy == np.inf and got.total_component_energy == np.inf
+    assert np.isinf(got.leakage_matrix).any()
+    assert np.isfinite(got.io_total) and np.isfinite(got.pee)
+    assert got.io_total == ref.io_total and got.pee == ref.pee

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ class TestErrors:
         rep = json.loads((out / "report.json").read_text(), parse_constant=reject)
         assert np.isfinite(rep["pee"]) and np.isfinite(rep["io_total"])
         assert rep["signal_energy"] is None and None in rep["component_energies"]
+
+    @pytest.mark.parametrize("scale", [1e307, 2.0 ** 1000])
+    def test_top_of_float64_range_decomposes_silently(self, tmp_path, capsys, scale):
+        v = np.random.default_rng(5).standard_normal(512) * scale
+        p = tmp_path / "top.csv"
+        write_csv(p, [SampledSignal(v, 100.0)])
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decompose", "--input", str(p), "--output-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
 
     def test_two_rows_give_zero_imfs(self, tmp_path, capsys):
         p = tmp_path / "two.csv"

@@ -279,6 +279,29 @@ class TestBuildEnvelopes:
         # end, so no envelope system is 1x1.
         assert fewest == 5 and smallest > 100
 
+    def test_block_solve_matches_two_splines(self, rng):
+        # Whole-number knots covering the grid 0...n-1, some past its ends,
+        # blocks of 3 knots (one interior equation, a 1x1 block) and more;
+        # values drawn from a few integers, so runs of +-0.0 occur.
+        from emdkit.envelope import _grid_pair
+
+        def knots(n, k):
+            inner = np.sort(rng.choice(np.arange(1, n - 1), k - 2, replace=False))
+            t = np.concatenate(([-rng.integers(0, 4)], inner, [n - 1 + rng.integers(0, 4)]))
+            if rng.random() < 0.5:
+                t = np.concatenate(([t[0] - rng.integers(1, 5)], t, [t[-1] + rng.integers(1, 5)]))
+            v = rng.standard_normal(t.size) if rng.random() < 0.5 else \
+                np.round(rng.standard_normal(t.size)) * rng.choice([-1.0, 1.0])
+            return t.astype(float), v
+
+        for _ in range(500):
+            n = int(rng.integers(4, 60))
+            ui, uv = knots(n, int(rng.integers(3, min(n, 12))))
+            li, lv = knots(n, int(rng.integers(3, min(n, 12))))
+            grid = np.arange(n, dtype=float)
+            want = np.concatenate((cubic_spline(ui, uv, grid), cubic_spline(li, lv, grid)))
+            assert _grid_pair(ui, uv, li, lv, n).tobytes() == want.tobytes()
+
     def test_end_rule_is_symmetric_in_time(self, rng):
         # Plateaus are left out on purpose: an even-length plateau centres
         # on its left-middle sample, so reversing the record moves that
