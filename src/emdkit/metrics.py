@@ -92,19 +92,17 @@ def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
     np.fill_diagonal(io_pairs, 0.0)
 
     with np.errstate(over="ignore"):  # energies past the float64 range are inf
-        leakage, total_comp_abs, e_x_abs, e_ref_abs = (
-            np.ldexp(v, -2 * k) for v in (gram, total_comp, e_x, e_ref))
-    return OrthoReport(
-        leakage_matrix=leakage,
-        io_total=cross / e_ref,
-        io_pairs=io_pairs,
-        pee=(e_ref - total_comp) / e_ref * 100.0,
-        total_component_energy=float(total_comp_abs),
-        signal_energy=float(e_x_abs),
-        reference_energy=float(e_ref_abs),
-        reconstruction_error=recon_err,
-        component_labels=labels,
-    )
+        return OrthoReport(
+            leakage_matrix=np.ldexp(gram, -2 * k),
+            io_total=cross / e_ref,
+            io_pairs=io_pairs,
+            pee=(e_ref - total_comp) / e_ref * 100.0,
+            total_component_energy=float(np.ldexp(total_comp, -2 * k)),
+            signal_energy=float(np.ldexp(e_x, -2 * k)),
+            reference_energy=float(np.ldexp(e_ref, -2 * k)),
+            reconstruction_error=recon_err,
+            component_labels=labels,
+        )
 
 
 def pee_identity_check(report: OrthoReport) -> float:
