@@ -25,7 +25,6 @@ from .memd import (
     hammersley_directions,
     memd,
     multivariate_mean_envelope,
-    project,
 )
 from .epemd import LinoepStage, epemd, epmemd, orthogonalize_stage, verify_linoep
 from .gsom import GsomResult, gram_schmidt, imf_property_report, orthogonal_variants

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_exponent
-from .envelope import EnvelopePair, NoEnvelopeError, build_envelopes
+from .envelope import EnvelopePair, NoEnvelopeError, _samples, build_envelopes
 
 logger = logging.getLogger(__name__)
 
@@ -47,17 +48,18 @@ class EemdConfig:
             raise ValueError("ensemble_size must be >= 1")
 
 
-def zero_crossing_count(x: SampledSignal) -> int:
-    """Count sign changes, ignoring exactly-zero samples."""
-    s = x.samples[x.samples != 0.0]
+def zero_crossing_count(x) -> int:
+    """Count sign changes of the samples ``x``, ignoring exact zeros."""
+    v = _samples(x)
+    s = v[v != 0.0]
     if s.size < 2:
         return 0
     return int(np.count_nonzero(np.diff(np.sign(s)) != 0))
 
 
-def is_imf(x: SampledSignal) -> bool:
-    """IMF test: extrema/zero-crossing counts differ by at most one and
-    the envelope mean is small (max-norm <= 5% of max |x|)."""
+def is_imf(x) -> bool:
+    """IMF test of the samples ``x``: extrema/zero-crossing counts differ
+    by at most one and the envelope mean is small (max-norm <= 5% of max |x|)."""
     try:
         env = build_envelopes(x)
     except NoEnvelopeError:
@@ -65,11 +67,11 @@ def is_imf(x: SampledSignal) -> bool:
     return _imf_test(x, env)
 
 
-def _imf_test(x: SampledSignal, env: EnvelopePair) -> bool:
-    """The IMF test of ``x``, read from its envelope ``env``."""
+def _imf_test(x, env: EnvelopePair) -> bool:
+    """The IMF test of the samples ``x``, read from their envelope ``env``."""
     if abs(env.extrema.n_extrema - zero_crossing_count(x)) > 1:
         return False
-    return float(np.max(np.abs(env.mean))) <= 0.05 * float(np.max(np.abs(x.samples)))
+    return float(np.max(np.abs(env.mean))) <= 0.05 * float(np.max(np.abs(x)))
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
@@ -85,7 +87,7 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     h = x.samples
     if 0.0 < np.max(np.abs(h)) < np.finfo(float).tiny:
         raise NoEnvelopeError("amplitude below the normal floating-point range")
-    env = build_envelopes(x)  # propagate NoEnvelopeError on first pass
+    env = build_envelopes(h)  # propagate NoEnvelopeError on first pass
     for it in range(cfg.max_sift_iterations):
         h_new = h - env.mean
         e = _unit_exponent(h)
@@ -96,46 +98,35 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
         h = h_new
         if sd <= cfg.sd_threshold:
             break
-        candidate = x.with_samples(h)
         try:
-            env = build_envelopes(candidate)
+            env = build_envelopes(h)
         except NoEnvelopeError:
             break
-        if _imf_test(candidate, env):
+        if _imf_test(h, env):
             break
     logger.debug("sift finished after %d iteration(s)", it + 1)
-    imf = x.with_samples(h)
-    return imf, x.with_samples(x.samples - h)
+    return x.with_samples(h), x.with_samples(x.samples - h)
 
 
 def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
     """The mode-extraction loop behind emd, epemd, memd and epmemd.
 
     ``extract(work)`` splits the working signal into ``(mode, residue)``
-    with mode + residue == work, or returns None when ``work`` has no
-    envelope. ``stage(mode, residue)``, if given, returns the pair that
-    replaces it (EPEMD's per-stage orthogonalization). Extraction
-    continues on the residue; returns (modes, final residue).
+    with mode + residue == work; its NoEnvelopeError ends extraction.
+    ``stage(mode, residue)``, if given, returns the pair that replaces it
+    (EPEMD's per-stage orthogonalization). Extraction continues on the
+    residue; returns (modes, final residue).
     """
     modes = []
     work = x
     while not (max_imfs and len(modes) >= max_imfs):
-        pair = extract(work)
-        if pair is None:
+        try:
+            pair = extract(work)
+        except NoEnvelopeError:
             break
         mode, work = pair if stage is None else stage(*pair)
         modes.append(mode)
     return tuple(modes), work
-
-
-def _sifter(cfg: SiftConfig):
-    """``sift_one_imf`` as an extractor for ``_extract_modes``."""
-    def extract(work):
-        try:
-            return sift_one_imf(work, cfg)
-        except NoEnvelopeError:
-            return None
-    return extract
 
 
 def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
@@ -145,7 +136,7 @@ def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     the normal floating-point range) yield zero IMFs with residue equal
     to the input.
     """
-    imfs, residue = _extract_modes(x, _sifter(cfg), max_imfs=cfg.max_imfs)
+    imfs, residue = _extract_modes(x, partial(sift_one_imf, cfg=cfg), max_imfs=cfg.max_imfs)
     return Decomposition(imfs, residue, Variant.EMD)
 
 
@@ -170,15 +161,14 @@ def eemd(
     # squares in std neither overflow nor underflow at any amplitude.
     k = _unit_exponent(x.samples)
     sigma = ecfg.noise_stddev_ratio * float(np.ldexp(np.std(np.ldexp(x.samples, k)), -k))
-    trials = []
+    # Trials go into running sums; a mode no earlier trial reached starts at 0.
+    imf_acc = np.zeros((0, x.n))
+    res_acc = np.zeros(x.n)
     for i in range(ecfg.ensemble_size):
         noise = _trial_rng(ecfg.rng_seed, i).standard_normal(x.n) * sigma
-        trials.append(emd(x.with_samples(x.samples + noise), scfg))
-
-    n_modes = max(len(d.imfs) for d in trials)
-    imf_acc = np.zeros((n_modes, x.n))
-    res_acc = np.zeros(x.n)
-    for d in trials:
+        d = emd(x.with_samples(x.samples + noise), scfg)
+        if len(d.imfs) > len(imf_acc):
+            imf_acc = np.vstack((imf_acc, np.zeros((len(d.imfs) - len(imf_acc), x.n))))
         for k, imf in enumerate(d.imfs):
             imf_acc[k] += imf.samples
         res_acc += d.residue.samples

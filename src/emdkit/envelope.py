@@ -18,7 +18,6 @@ from .core import (
     InsufficientDataError,
     InvalidKnotsError,
     NoEnvelopeError,
-    SampledSignal,
 )
 
 
@@ -47,13 +46,21 @@ class EnvelopePair:
     extrema: ExtremaSet
 
 
-def detect_extrema(x: SampledSignal) -> ExtremaSet:
-    """Find all strict interior extrema of ``x``.
+def _samples(x) -> np.ndarray:
+    """``x`` as a float array; ValueError unless it is 1-D and finite."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise ValueError("samples must be a finite 1-D array")
+    return v
+
+
+def detect_extrema(x) -> ExtremaSet:
+    """Find all strict interior extrema of the 1-D sample array ``x``.
 
     A plateau of equal consecutive values counts as a single extremum at
     its center sample. Record endpoints are never extrema.
     """
-    v = x.samples
+    v = _samples(x)
     n = v.size
     if n < 3:
         raise InsufficientDataError("extrema detection needs at least 3 samples")
@@ -263,8 +270,8 @@ def _grid_pair(ui, uv, li, lv, n: int) -> np.ndarray:
 _SAFE_PEAK = (2.0**-500, 2.0**500)
 
 
-def build_envelopes(x: SampledSignal) -> EnvelopePair:
-    """Upper/lower natural-spline envelopes and their mean.
+def build_envelopes(x) -> EnvelopePair:
+    """Upper/lower natural-spline envelopes of the samples ``x`` and their mean.
 
     Raises NoEnvelopeError when ``x`` is too short for extrema or has
     fewer than two maxima or two minima; the caller then treats ``x`` as
@@ -273,24 +280,25 @@ def build_envelopes(x: SampledSignal) -> EnvelopePair:
     is the envelope pair of ``x`` rescaled by a power of two, scaled
     back: outside ``_SAFE_PEAK`` the build runs on such a copy.
     """
-    if x.n < 3:
+    v = _samples(x)
+    if v.size < 3:
         raise NoEnvelopeError("envelopes need at least 3 samples")
-    ext = detect_extrema(x)
+    ext = detect_extrema(v)
     if ext.max_idx.size < 2 or ext.min_idx.size < 2:
         raise NoEnvelopeError(
             f"need >= 2 maxima and >= 2 minima, got {ext.max_idx.size}/{ext.min_idx.size}"
         )
-    x0, xe = float(x.samples[0]), float(x.samples[-1])
+    x0, xe = float(v[0]), float(v[-1])
     (ui, uv), (li, lv) = _boundary_knots(
-        ext.max_idx, ext.max_val, ext.min_idx, ext.min_val, x0, xe, x.n)
+        ext.max_idx, ext.max_val, ext.min_idx, ext.min_val, x0, xe, v.size)
     # Every knot value is an extremum or an end sample; the largest |value|
     # among them is the largest maximum or the smallest minimum, or an end.
     peak = max(float(ext.max_val.max()), -float(ext.min_val.min()), abs(x0), abs(xe))
     k = 0 if _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] else -math.frexp(peak)[1]
     if k:
         uv, lv = np.ldexp(uv, k), np.ldexp(lv, k)
-    pair = _grid_pair(ui, uv, li, lv, x.n)
-    upper, lower = pair[:x.n], pair[x.n:]
+    pair = _grid_pair(ui, uv, li, lv, v.size)
+    upper, lower = pair[:v.size], pair[v.size:]
     mean = (upper + lower) / 2.0
     if k:
         with np.errstate(over="ignore"):  # an envelope past the float64 range is inf

@@ -11,6 +11,7 @@ signal energy although the components are not pairwise orthogonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .core import (
     Variant,
     _unit_exponent,
 )
-from .emd import SiftConfig, _extract_modes, _sifter
+from .emd import SiftConfig, _extract_modes, sift_one_imf
 from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
 
 #: Residue energy below this fraction of the stage input energy triggers
@@ -68,7 +69,7 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
         alphas.append(st.alpha)
         return st.epimf, st.residue_out
 
-    components, residue = _extract_modes(x, _sifter(cfg), stage, cfg.max_imfs)
+    components, residue = _extract_modes(x, partial(sift_one_imf, cfg=cfg), stage, cfg.max_imfs)
     return Decomposition(components, residue, Variant.EPEMD,
                          diagnostics={"alphas": alphas})
 

@@ -42,7 +42,6 @@ class GsomResult:
     orthogonal_components: tuple[SampledSignal, ...]  # p_i, sum to the input sum
     coefficient_matrix: np.ndarray  # lower unitriangular
     column_sums: np.ndarray
-    dc_constant: float = 0.0
 
 
 def gram_schmidt(inputs) -> GsomResult:
@@ -126,4 +125,4 @@ def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
 def imf_property_report(components) -> list[bool]:
     """Run the IMF test on each component; used to compare orderings
     empirically."""
-    return [is_imf(c) for c in components]
+    return [is_imf(c.samples) for c in components]

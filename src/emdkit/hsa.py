@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .core import Decomposition, InsufficientDataError, SampledSignal
+from .core import Decomposition, InsufficientDataError, SampledSignal, _unit_exponent
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,24 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
     unwrapped phase (default), "quotient" uses the analytic-signal
     quotient formula; both are identical in continuous time, the latter
     is noisier discretely.
+
+    The FFT runs on samples rescaled by a power of two; phase and IF are
+    scale-free, and the amplitude is scaled back (inf past the float64 range).
     """
     if x.n < 8:
         raise InsufficientDataError("analytic signal needs at least 8 samples")
-    spec = fft(x.samples)
+    k = _unit_exponent(x.samples)
+    y = np.ldexp(x.samples, k)
+    spec = fft(y)
     spec[1:(x.n + 1) // 2] *= 2.0
     spec[x.n // 2 + 1:] = 0.0
     z = ifft(spec)
-    amplitude = np.abs(z)
+    with np.errstate(over="ignore"):
+        amplitude = np.ldexp(np.abs(z), -k)
     phase = np.unwrap(np.angle(z))
     if method == "phase_diff":
         inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
     elif method == "quotient":
-        y = x.samples
         yh = z.imag
         dy = np.gradient(y, x.dt)
         dyh = np.gradient(yh, x.dt)
@@ -97,13 +102,14 @@ def hilbert_spectrum(
 
     grid = np.zeros((n_freq_bins, n_time_bins))
     clipped = 0
-    for imf in d.imfs:
-        attrs = analytic_signal(imf)
-        f_idx = np.floor(attrs.inst_freq / f_width).astype(int)
-        clipped += int(np.count_nonzero(f_idx < 0))
-        f_idx = np.clip(f_idx, 0, n_freq_bins - 1)
-        np.add.at(grid, (f_idx, t_idx), attrs.amplitude**2)
-    marginal = grid.sum(axis=1) * ref.dt
+    with np.errstate(over="ignore"):  # energies past the float64 range are inf
+        for imf in d.imfs:
+            attrs = analytic_signal(imf)
+            f_idx = np.floor(attrs.inst_freq / f_width).astype(int)
+            clipped += int(np.count_nonzero(f_idx < 0))
+            f_idx = np.clip(f_idx, 0, n_freq_bins - 1)
+            np.add.at(grid, (f_idx, t_idx), attrs.amplitude**2)
+        marginal = grid.sum(axis=1) * ref.dt
     return HilbertSpectrum(freq_bins, time_bins, grid, marginal, ref.dt, clipped)
 
 

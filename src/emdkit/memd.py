@@ -23,6 +23,7 @@ from .core import (
     NoEnvelopeError,
     SampledSignal,
     Variant,
+    _unit_exponent,
 )
 from .emd import SiftConfig, _extract_modes, emd
 from .envelope import _mirror_extend, cubic_spline, detect_extrema
@@ -169,16 +170,6 @@ def hammersley_directions(n: int, K: int) -> DirectionSet:
     return DirectionSet(d)
 
 
-def project(x: MultivariateSignal, d: np.ndarray) -> SampledSignal:
-    """Per-sample dot product of the channels with the direction vector."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (x.n_channels,):
-        raise DimensionMismatchError(
-            f"direction has {d.size} coordinates for {x.n_channels} channels"
-        )
-    return x.channels[0].with_samples(x.as_array() @ d)
-
-
 def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarray:
     """Spline every channel through its values at the (mirror-extended)
     knot instants; returns an (n, n_channels) envelope surface."""
@@ -199,13 +190,15 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.
     Directions whose projection lacks two maxima or two minima are
     skipped; if every direction is skipped the signal has no envelope.
     """
+    if dirs.directions.shape[1] != x.n_channels:
+        raise DimensionMismatchError(f"directions need {x.n_channels} coordinates")
     data = x.as_array()
     acc = np.zeros_like(data)
     used = 0
     scale = float(np.max(np.abs(data)))
     for d in dirs.directions:
-        p = project(x, d)
-        if float(np.max(np.abs(p.samples))) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
+        p = data @ d
+        if float(np.max(np.abs(p))) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
             continue
         try:
             ext = detect_extrema(p)
@@ -225,8 +218,8 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.
 def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
                                   cfg: SiftConfig):
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
-    the stoppage ratio holds. Returns (mode, residue) or None when no
-    envelope exists (end of decomposition)."""
+    the stoppage ratio holds. Returns (mode, residue); raises
+    NoEnvelopeError when ``x`` has no envelope (end of decomposition)."""
     mode = x.as_array()
     work = x
     for it in range(cfg.max_sift_iterations):
@@ -234,7 +227,7 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
             env = multivariate_mean_envelope(work, dirs)
         except NoEnvelopeError:
             if it == 0:
-                return None
+                raise
             break
         if float(np.max(np.abs(env))) <= ENVELOPE_RATIO_THRESHOLD * float(np.max(np.abs(mode))):
             break
@@ -248,20 +241,27 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
                         univariate, stage=None) -> MultivariateDecomposition:
     """Body of memd and epmemd: MEMD extraction over K Hammersley
     directions until the residue is negligible, with ``stage`` applied to
-    each extracted pair. A single-channel input goes to ``univariate``."""
+    each extracted pair. A single-channel input goes to ``univariate``.
+    Extraction runs on the input rescaled by a power of two (exact, so
+    safe up to the top of the float64 range), and the modes are scaled back.
+    """
     if x.n_channels == 1:
         d = univariate(x.channels[0], cfg)
         return MultivariateDecomposition((replace(d, variant=variant),))
 
     dirs = hammersley_directions(x.n_channels, K)
-    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(x.as_array())))
+    data = x.as_array()
+    k = _unit_exponent(data)
+    np.ldexp(data, k, out=data)
+    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(data)))
 
     def extract(work):
         if float(np.max(np.abs(work.as_array()))) <= floor:
-            return None
+            raise NoEnvelopeError("the residue is negligible")
         return _extract_one_multivariate_imf(work, dirs, cfg)
 
-    modes, residue = _extract_modes(x, extract, stage, cfg.max_imfs)
+    modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
+    *modes, residue = (x.from_array(np.ldexp(m.as_array(), -k)) for m in (*modes, residue))
     return MultivariateDecomposition(tuple(
         Decomposition(tuple(m.channels[j] for m in modes), r, variant)
         for j, r in enumerate(residue.channels)))

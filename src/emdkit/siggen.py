@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SampledSignal
-from .emd import SiftConfig
+from .emd import SiftConfig, emd
+from .epemd import epemd
+from .memd import MultivariateSignal
 from .metrics import ortho_report
 
 
@@ -130,8 +132,6 @@ MULTITONE4_FREQS = (4.0, 8.0, 16.0, 32.0)
 def generate_multitone4(spec: SignalSpec):
     """The 4-variate benchmark: per channel, the sum of 4/8/16/32 Hz unit
     sines plus seeded Gaussian noise of standard deviation ``noise_std``."""
-    from .memd import MultivariateSignal
-
     t = _time_grid(spec)
     tones = sum(np.sin(2 * np.pi * f * t) for f in MULTITONE4_FREQS)
     rng = np.random.default_rng(spec.seed)
@@ -155,9 +155,6 @@ def harmonic_comb(sample_rate: float, duration: float = 10.0, amplitude: float =
 def sweep_io_t(fs_list, cfg: SiftConfig = SiftConfig()):
     """Decompose the 50-tone comb at each sampling rate with EMD and
     EPEMD and record both overall orthogonality indices."""
-    from .epemd import epemd
-    from .emd import emd
-
     rows = []
     for fs in fs_list:
         if fs <= 100:

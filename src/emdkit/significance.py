@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
-from .emd import SiftConfig, emd, zero_crossing_count
+from .emd import SiftConfig, _trial_rng, emd, zero_crossing_count
 from .epemd import epemd
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
@@ -44,7 +44,7 @@ def imf_statistics(imf: SampledSignal) -> SignificancePoint:
     """Mean period and mean energy density of one component."""
     if imf.n < 8:
         raise ValueError("component too short for period statistics")
-    zc = zero_crossing_count(imf)
+    zc = zero_crossing_count(imf.samples)
     if zc == 0:
         raise PeriodUndefinedError("no zero crossings: component is a trend")
     mean_period = 2.0 * imf.duration / zc
@@ -80,8 +80,7 @@ def white_noise_band(
     periods: list[float] = []
     energies: list[float] = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        x = SampledSignal(rng.standard_normal(length), sample_rate)
+        x = SampledSignal(_trial_rng(seed, trial).standard_normal(length), sample_rate)
         d = _decompose_variant(x, decomposer, cfg)
         for imf in d.imfs:
             try:

@@ -14,10 +14,15 @@ import pytest
 
 from emdkit import (
     EemdConfig,
+    MultivariateSignal,
     SampledSignal,
+    SiftConfig,
+    analytic_signal,
     eemd,
     emd,
     epemd,
+    epmemd,
+    memd,
     orthogonal_variants,
     ortho_report,
     verify_linoep,
@@ -95,6 +100,32 @@ def test_decomposition_scales_exactly_near_the_float64_maximum(rng, algo, k):
     ref = algo(x0)
     assert len(ref.imfs) > 2
     assert_scaled(got, ref, k)
+
+
+@pytest.mark.parametrize("k", [900, -900, 1022])
+@pytest.mark.parametrize("algo", [memd, epmemd])
+def test_multivariate_decomposition_scales_exactly(rng, algo, k):
+    x = rng.standard_normal((2, 128))
+    cfg = SiftConfig(max_imfs=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = algo(MultivariateSignal(tuple(SampledSignal(np.ldexp(c, k), 1.0) for c in x)), 8, cfg)
+    ref = algo(MultivariateSignal(tuple(SampledSignal(c, 1.0) for c in x)), 8, cfg)
+    assert len(ref.imfs) > 2
+    for g, r in zip(got.channels, ref.channels, strict=True):
+        assert_scaled(g, r, k)
+
+
+@pytest.mark.parametrize("k", [900, -900])
+def test_analytic_signal_scales_exactly(rng, k):
+    x = rng.standard_normal(512)
+    ref = analytic_signal(SampledSignal(x, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = analytic_signal(SampledSignal(np.ldexp(x, k), 1.0))
+    assert np.array_equal(got.amplitude, np.ldexp(ref.amplitude, k))
+    assert np.array_equal(got.phase, ref.phase)
+    assert np.array_equal(got.inst_freq, ref.inst_freq)
 
 
 def test_ortho_report_energies_overflow_to_inf_silently(rng):

@@ -261,17 +261,27 @@ class TestErrors:
 
     @pytest.mark.parametrize("scale", [1e307, 2.0 ** 1000])
     def test_top_of_float64_range_decomposes_silently(self, tmp_path, capsys, scale):
-        v = np.random.default_rng(5).standard_normal(512) * scale
-        p = tmp_path / "top.csv"
-        write_csv(p, [SampledSignal(v, 100.0)])
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["decompose", "--input", str(p), "--output-dir", str(out)]) == 0
-            assert capsys.readouterr().err == ""
-            assert main(["verify", str(out)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines and all(line.startswith("PASS") for line in lines)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(512) * scale
+        cases = {
+            "emd": ([v], ["--out", "imfs,report,spectrum,marginal"]),
+            "memd": ([v, rng.standard_normal(512) * scale],
+                     ["--algo", "memd", "--directions", "8", "--max-imfs", "3"]),
+        }
+        for name, (channels, flags) in cases.items():
+            p = tmp_path / f"{name}.csv"
+            write_csv(p, [SampledSignal(c, 100.0) for c in channels])
+            out = tmp_path / name
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["decompose", "--input", str(p), *flags,
+                             "--output-dir", str(out)]) == 0
+                assert capsys.readouterr().err == ""
+                assert main(["verify", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines and all(line.startswith("PASS") for line in lines)
+        for artifact in ("spectrum.csv", "marginal.csv"):
+            assert "nan" not in (tmp_path / "emd" / artifact).read_text()
 
     def test_two_rows_give_zero_imfs(self, tmp_path, capsys):
         p = tmp_path / "two.csv"

@@ -1,10 +1,12 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from emdkit import (
     EemdConfig,
+    InsufficientDataError,
     MultivariateSignal,
     NoEnvelopeError,
     SampledSignal,
@@ -46,13 +48,22 @@ class TestConfigs:
 class TestZeroCrossings:
     def test_sine(self):
         # 5 Hz over 1 s crosses zero twice per period, minus the end.
-        assert zero_crossing_count(sine(5.0, 1000.0, 1.0, phase=0.1)) == 10
+        assert zero_crossing_count(sine(5.0, 1000.0, 1.0, phase=0.1).samples) == 10
 
     def test_constant(self):
-        assert zero_crossing_count(sig([2, 2, 2])) == 0
+        assert zero_crossing_count([2, 2, 2]) == 0
 
     def test_ignores_exact_zeros(self):
-        assert zero_crossing_count(sig([1, 0, -1])) == 1
+        assert zero_crossing_count([1, 0, -1]) == 1
+
+
+@pytest.mark.parametrize("fn", [detect_extrema, build_envelopes, is_imf, zero_crossing_count])
+@pytest.mark.parametrize("bad", [[1.0, np.nan, -1.0, 2.0, -2.0],
+                                 [1.0, -1.0, np.inf, -2.0, 2.0],
+                                 [[1.0, -1.0, 2.0], [-2.0, 1.0, -1.0]]])
+def test_sample_functions_reject_non_finite_or_2d_input(fn, bad):
+    with pytest.raises(ValueError):
+        fn(np.array(bad))
 
 
 def _reference_is_imf(x):
@@ -64,22 +75,21 @@ def _reference_is_imf(x):
         env = build_envelopes(x)
     except NoEnvelopeError:
         return False
-    peak = float(np.max(np.abs(x.samples)))
+    peak = float(np.max(np.abs(x)))
     return peak != 0.0 and float(np.max(np.abs(env.mean))) <= 0.05 * peak
 
 
 class TestIsImf:
     def test_pure_sine(self):
-        assert is_imf(sine(5.0, 500.0, 2.0))
+        assert is_imf(sine(5.0, 500.0, 2.0).samples)
 
     def test_monotone_ramp(self):
-        assert not is_imf(sig(np.linspace(0, 1, 100)))
+        assert not is_imf(np.linspace(0, 1, 100))
 
     def test_riding_waves_fail(self):
         rate = 1000.0
         t = np.arange(int(rate * 2)) / rate
-        x = sig(np.sin(2 * np.pi * 3 * t) + np.sin(2 * np.pi * 40 * t), rate)
-        assert not is_imf(x)
+        assert not is_imf(np.sin(2 * np.pi * 3 * t) + np.sin(2 * np.pi * 40 * t))
 
     def test_matches_reference_rule(self, rng):
         verdicts = []
@@ -91,13 +101,12 @@ class TestIsImf:
                 v = np.sin(np.arange(n) * rng.uniform(0.2, 2.0)) + 0.01 * rng.standard_normal(n)
             else:
                 v = rng.standard_normal(n)
-            x = sig(v)
-            verdicts.append(is_imf(x))
-            assert verdicts[-1] == _reference_is_imf(x), v
+            verdicts.append(is_imf(v))
+            assert verdicts[-1] == _reference_is_imf(v), v
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_two_samples_are_not_an_imf(self):
-        assert not is_imf(sig([1.0, 2.0]))
+        assert not is_imf([1.0, 2.0])
 
 
 class TestSiftOneImf:
@@ -118,6 +127,44 @@ class TestSiftOneImf:
         assert len(d.imfs) > 2
         assert calls["extrema"] == calls["envelopes"] > 0
         assert calls["is_imf"] == 0
+
+    def test_builds_two_signals_however_many_iterations(self, rng, monkeypatch):
+        emd_mod = sys.modules["emdkit.emd"]
+        signal_cls = sys.modules["emdkit.core"].SampledSignal
+        x = sig(rng.standard_normal(512))
+        post_init, original = signal_cls.__post_init__, emd_mod.build_envelopes
+        built, envelopes = [], []
+
+        def counted(signal):
+            built.append(signal)
+            post_init(signal)
+
+        def build_envelopes(h):
+            envelopes.append(h)
+            return original(h)
+
+        monkeypatch.setattr(signal_cls, "__post_init__", counted)
+        monkeypatch.setattr(emd_mod, "build_envelopes", build_envelopes)
+        iterations = []
+        for cfg in (SiftConfig(max_sift_iterations=1),
+                    SiftConfig(sd_threshold=1e-6, max_sift_iterations=8)):
+            built.clear()
+            envelopes.clear()
+            sift_one_imf(x, cfg)
+            assert len(built) == 2
+            iterations.append(len(envelopes))
+        assert iterations[0] == 2 and iterations[1] > 4
+
+    @pytest.mark.parametrize("error", [RuntimeError, InsufficientDataError])
+    def test_unexpected_errors_propagate(self, rng, monkeypatch, error):
+        def broken(h):
+            raise error("bug")
+
+        monkeypatch.setattr(sys.modules["emdkit.emd"], "build_envelopes", broken)
+        x = sig(rng.standard_normal(256))
+        for decompose in (emd, epemd):
+            with pytest.raises(error):
+                decompose(x)
 
     def test_completeness_is_exact(self, rng):
         x = sig(rng.standard_normal(400), 100.0)
@@ -262,6 +309,17 @@ class TestEemd:
         # Error should be on the ensemble-average noise floor, not zero
         # and not signal-sized.
         assert err < 10 * sigma_over_sqrt_n / scale
+
+    def test_peak_memory_does_not_hold_every_trial(self, rng):
+        # Every trial of 50 held to the end would need ~15 MB here.
+        x = sig(rng.standard_normal(4096))
+        tracemalloc.start()
+        try:
+            eemd(x, ecfg=EemdConfig(ensemble_size=50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_variant_tag(self):
         d = eemd(sine(5.0, 100.0, 1.0), ecfg=EemdConfig(ensemble_size=3))

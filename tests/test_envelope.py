@@ -5,7 +5,6 @@ from emdkit import (
     InsufficientDataError,
     InvalidKnotsError,
     NoEnvelopeError,
-    SampledSignal,
     build_envelopes,
     cubic_spline,
     detect_extrema,
@@ -13,42 +12,38 @@ from emdkit import (
 from conftest import sine
 
 
-def sig(values, rate=1.0):
-    return SampledSignal(np.asarray(values, dtype=float), rate)
-
-
 class TestDetectExtrema:
     def test_alternating(self):
-        ext = detect_extrema(sig([1, 3, 1, 3, 1]))
+        ext = detect_extrema([1, 3, 1, 3, 1])
         assert ext.max_idx.tolist() == [1, 3]
         assert ext.min_idx.tolist() == [2]
 
     def test_monotone_has_none(self):
-        ext = detect_extrema(sig([1, 2, 3, 4, 5]))
+        ext = detect_extrema([1, 2, 3, 4, 5])
         assert ext.max_idx.size == 0 and ext.min_idx.size == 0
 
     def test_sine_counts(self):
-        ext = detect_extrema(sine(5.0, 1000.0, 1.0))
+        ext = detect_extrema(sine(5.0, 1000.0, 1.0).samples)
         assert ext.max_idx.size == 5
         assert ext.min_idx.size == 5
 
     def test_plateau_collapses_to_center(self):
-        ext = detect_extrema(sig([0, 1, 2, 2, 2, 1, 0]))
+        ext = detect_extrema([0, 1, 2, 2, 2, 1, 0])
         assert ext.max_idx.tolist() == [3]
 
     def test_endpoints_never_extrema(self):
-        ext = detect_extrema(sig([5, 1, 5]))
+        ext = detect_extrema([5, 1, 5])
         assert ext.min_idx.tolist() == [1]
         assert ext.max_idx.size == 0
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
-            detect_extrema(sig([1, 2]))
+            detect_extrema([1, 2])
 
     def test_matches_bruteforce_scan(self, rng):
         for _ in range(200):
             v = rng.standard_normal(rng.integers(3, 60))
-            ext = detect_extrema(sig(v))
+            ext = detect_extrema(v)
             brute_max = [i for i in range(1, v.size - 1)
                          if v[i] > v[i - 1] and v[i] > v[i + 1]]
             brute_min = [i for i in range(1, v.size - 1)
@@ -59,7 +54,7 @@ class TestDetectExtrema:
 
     def test_values_are_the_samples_at_the_indices(self, rng):
         v = np.round(rng.standard_normal(300), 1)  # rounding makes plateaus
-        ext = detect_extrema(sig(v))
+        ext = detect_extrema(v)
         np.testing.assert_array_equal(ext.max_val, v[ext.max_idx])
         np.testing.assert_array_equal(ext.min_val, v[ext.min_idx])
         assert ext.n_extrema == ext.max_idx.size + ext.min_idx.size > 0
@@ -114,7 +109,7 @@ def _reference_envelopes(v):
     """Reference envelope build: array end knots, then one natural spline
     per envelope through ``cubic_spline`` on the sample grid."""
     n = v.size
-    ext = detect_extrema(sig(v))
+    ext = detect_extrema(v)
     max_i, max_v = ext.max_idx.astype(float), ext.max_val
     min_i, min_v = ext.min_idx.astype(float), ext.min_val
     x0, xe, e = float(v[0]), float(v[-1]), float(n - 1)
@@ -199,9 +194,9 @@ class TestCubicSpline:
 
 class TestBuildEnvelopes:
     def test_sine_mean_envelope_small_centrally(self):
-        x = sine(5.0, 500.0, 2.0)
+        x = sine(5.0, 500.0, 2.0).samples
         env = build_envelopes(x)
-        n = x.n
+        n = x.size
         central = env.mean[n // 10: -n // 10]
         assert float(np.max(np.abs(central))) < 0.05
 
@@ -209,30 +204,30 @@ class TestBuildEnvelopes:
         v = np.zeros(50)
         v[25] = 1.0
         with pytest.raises(NoEnvelopeError):
-            build_envelopes(sig(v))
+            build_envelopes(v)
 
     def test_two_tone_upper_envelope_tracks_slow_component(self):
         rate, dur = 1000.0, 2.0
         t = np.arange(int(rate * dur)) / rate
-        x = sig(np.sin(2 * np.pi * 3 * t) + 0.2 * np.sin(2 * np.pi * 30 * t), rate)
+        x = np.sin(2 * np.pi * 3 * t) + 0.2 * np.sin(2 * np.pi * 30 * t)
         env = build_envelopes(x)
         analytic_upper = np.sin(2 * np.pi * 3 * t) + 0.2
-        n = x.n
+        n = x.size
         central = slice(n // 10, -n // 10)
         err = np.max(np.abs(env.upper[central] - analytic_upper[central]))
         assert err < 0.1 * 1.2  # within 10% of the slow-component amplitude
 
     def test_mean_is_exact_average(self):
-        x = sine(7.0, 300.0, 1.0)
+        x = sine(7.0, 300.0, 1.0).samples
         env = build_envelopes(x)
         np.testing.assert_array_equal(
             env.mean, (env.upper + env.lower) / 2.0
         )
 
     def test_envelopes_cover_full_record(self):
-        x = sine(3.0, 100.0, 1.0, phase=0.4)
+        x = sine(3.0, 100.0, 1.0, phase=0.4).samples
         env = build_envelopes(x)
-        assert env.upper.size == x.n and env.lower.size == x.n
+        assert env.upper.size == x.size and env.lower.size == x.size
         assert np.all(np.isfinite(env.upper))
         assert np.all(np.isfinite(env.lower))
 
@@ -260,13 +255,13 @@ class TestBuildEnvelopes:
             ]
             signals += [np.ldexp(w, k) for w in (noise, walk) for k in (900, -900)]
             for v in signals:
-                ext = detect_extrema(sig(v))
+                ext = detect_extrema(v)
                 if min(ext.max_idx.size, ext.min_idx.size) < 2:
                     with pytest.raises(NoEnvelopeError):
-                        build_envelopes(sig(v))
+                        build_envelopes(v)
                     continue
                 upper, lower, ku, kl = _reference_envelopes(v)
-                env = build_envelopes(sig(v))
+                env = build_envelopes(v)
                 assert env.upper.tobytes() == upper.tobytes()
                 assert env.lower.tobytes() == lower.tobytes()
                 assert env.mean.tobytes() == ((upper + lower) / 2.0).tobytes()
@@ -309,7 +304,7 @@ class TestBuildEnvelopes:
         from emdkit.envelope import _boundary_knots
 
         def knots(v):
-            ext = detect_extrema(sig(v))
+            ext = detect_extrema(v)
             return _boundary_knots(ext.max_idx.astype(float), ext.max_val,
                                    ext.min_idx.astype(float), ext.min_val,
                                    float(v[0]), float(v[-1]), v.size)
@@ -319,7 +314,7 @@ class TestBuildEnvelopes:
             t = np.arange(n)
             freq, phase = rng.uniform(0.01, 0.45), rng.uniform(0.0, 2 * np.pi)
             for v in (rng.standard_normal(n), np.sin(2 * np.pi * freq * t + phase)):
-                ext = detect_extrema(sig(v))
+                ext = detect_extrema(v)
                 if np.any(v[1:] == v[:-1]) or min(ext.max_idx.size, ext.min_idx.size) < 2:
                     continue
                 e = float(n - 1)

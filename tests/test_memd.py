@@ -19,7 +19,6 @@ from emdkit import (
     hammersley_directions,
     memd,
     multivariate_mean_envelope,
-    project,
 )
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
 from conftest import fft_peak_hz, sine
@@ -83,45 +82,43 @@ class TestDirections:
         assert ham > np.mean(iid)
 
 
-class TestProject:
-    def test_basis_direction_selects_channel(self):
-        a = sine(4.0, 100.0, 1.0)
-        b = sine(9.0, 100.0, 1.0)
-        x = MultivariateSignal((a, b))
-        np.testing.assert_array_equal(project(x, np.array([1.0, 0.0])).samples,
-                                      a.samples)
-
-    def test_cancelling_channels(self):
-        s = sine(4.0, 100.0, 1.0)
-        x = MultivariateSignal((s, -1.0 * s))
-        p = project(x, np.array([1.0, 1.0]) / np.sqrt(2))
-        np.testing.assert_allclose(p.samples, 0.0, atol=1e-12)
-
-    def test_matches_dot_product_oracle(self, rng):
-        chans = tuple(SampledSignal(rng.standard_normal(64), 8.0) for _ in range(3))
-        x = MultivariateSignal(chans)
-        d = rng.standard_normal(3)
-        d /= np.linalg.norm(d)
-        want = x.as_array() @ d
-        np.testing.assert_allclose(project(x, d).samples, want, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        x = MultivariateSignal((sine(4.0, 100.0, 1.0), sine(5.0, 100.0, 1.0)))
-        with pytest.raises(DimensionMismatchError):
-            project(x, np.array([1.0, 0.0, 0.0]))
-
-
 class TestMeanEnvelope:
     def test_duplicated_channel_matches_univariate(self):
         s = sine(5.0, 500.0, 2.0)
         x = MultivariateSignal((s, s))
         dirs = DirectionSet(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         env = multivariate_mean_envelope(x, dirs)
-        uni = build_envelopes(s).mean
+        uni = build_envelopes(s.samples).mean
         n = s.n
         central = slice(n // 10, -n // 10)
         diff = np.max(np.abs(env[central, 0] - uni[central]))
         assert diff <= 0.05 * float(np.max(np.abs(s.samples)))
+
+    def test_directions_of_the_wrong_length_are_rejected(self):
+        x = MultivariateSignal((sine(4.0, 100.0, 1.0), sine(5.0, 100.0, 1.0)))
+        with pytest.raises(DimensionMismatchError):
+            multivariate_mean_envelope(x, hammersley_directions(3, 8))
+
+    def test_builds_no_signal(self, rng, monkeypatch):
+        x = MultivariateSignal(tuple(SampledSignal(rng.standard_normal(256), 1.0)
+                                     for _ in range(3)))
+        signal_cls = sys.modules["emdkit.core"].SampledSignal
+        post_init, built = signal_cls.__post_init__, []
+
+        def counted(signal):
+            built.append(signal)
+            post_init(signal)
+
+        monkeypatch.setattr(signal_cls, "__post_init__", counted)
+        env = multivariate_mean_envelope(x, hammersley_directions(3, 16))
+        assert env.shape == (256, 3) and built == []
+
+    def test_cancelling_projection_is_skipped(self):
+        # The direction (1, 1)/sqrt(2) projects (s, -s) onto roundoff noise.
+        s = sine(4.0, 100.0, 1.0)
+        x = MultivariateSignal((s, -1.0 * s))
+        with pytest.raises(NoEnvelopeError):
+            multivariate_mean_envelope(x, DirectionSet(np.array([[1.0, 1.0]]) / np.sqrt(2)))
 
     def test_constant_signal_has_no_envelope(self):
         c = SampledSignal(np.full(100, 2.0), 10.0)
