@@ -78,7 +78,7 @@ def test_gram_schmidt_variants_scale_exactly(rng, k, variant):
     assert np.array_equal(ortho_report(x, got).io_pairs, ortho_report(x0, ref).io_pairs)
 
 
-@pytest.mark.parametrize("k", [600, -600, 900, -900])
+@pytest.mark.parametrize("k", [600, -600, 900, -900, 1022])
 def test_eemd_scales_exactly(rng, k):
     x = rng.standard_normal(256)
     cfg = EemdConfig(ensemble_size=4)
@@ -86,6 +86,25 @@ def test_eemd_scales_exactly(rng, k):
     got = eemd(SampledSignal(np.ldexp(x, k), 1.0), ecfg=cfg)
     assert_scaled(got, ref, k)
     assert got.diagnostics == ref.diagnostics
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e307])
+def test_eemd_trial_sums_stay_in_range(rng, scale):
+    # The default 100 trials: their running sums, unscaled, pass the
+    # float64 maximum at these amplitudes.
+    x = SampledSignal(rng.standard_normal(256) * scale, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = eemd(x)
+    assert len(d.imfs) > 2
+    assert np.isfinite(d.diagnostics["reconstruction_error"])
+
+
+def test_eemd_of_subnormal_amplitude_has_no_imfs(rng):
+    # emd's rule: below the normal range samples carry too few bits for
+    # envelopes, whatever noise the ensemble adds in proportion.
+    x = SampledSignal(rng.standard_normal(256) * 2.0 ** -1060, 1.0)
+    assert eemd(x, ecfg=EemdConfig(ensemble_size=4)).imfs == ()
 
 
 @pytest.mark.parametrize("k", [1019, 1022])

@@ -267,6 +267,7 @@ class TestErrors:
             "emd": ([v], ["--out", "imfs,report,spectrum,marginal"]),
             "memd": ([v, rng.standard_normal(512) * scale],
                      ["--algo", "memd", "--directions", "8", "--max-imfs", "3"]),
+            "eemd": ([v], ["--algo", "eemd"]),
         }
         for name, (channels, flags) in cases.items():
             p = tmp_path / f"{name}.csv"
@@ -341,6 +342,27 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         assert any(line.startswith(f"PASS  {check}: ch1 ") for line in lines)
         assert any(line.startswith("PASS  energy-error identity: ch1 ") for line in lines)
+
+    def test_report_json_is_not_read(self, two_tone_csv, tmp_path, capsys):
+        # verify recomputes every contract from input.csv and imfs.csv,
+        # so an absent or malformed report.json changes nothing.
+        out = self.run_pipeline(two_tone_csv, tmp_path)
+        report = out / "report.json"
+        broken = json.loads(report.read_text())
+        del broken["io_total"]
+        capsys.readouterr()
+        printed = []
+        for text in (None, "", "[]\n", json.dumps(broken)):
+            if text == "":
+                report.unlink()
+            elif text is not None:
+                report.write_text(text)
+            assert main(["verify", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            printed.append(captured.out)
+        assert printed == [printed[0]] * 4
+        assert printed[0].splitlines()[-1].startswith("PASS  energy-error identity: ")
 
     def test_tampered_imfs_fail(self, two_tone_csv, tmp_path, capsys):
         out = self.run_pipeline(two_tone_csv, tmp_path)

@@ -86,6 +86,55 @@ class TestGenerate:
             generate(SignalSpec(SignalKind.MULTITONE4))
 
 
+def today_band(kind, a1, a2, t):
+    """The band formulas as first written, one branch per kind."""
+    if kind is SignalKind.LP:
+        return sum(a2 * np.sin(2 * np.pi * (50 - i) * t) + a1 * np.sin(2 * np.pi * (1 + i) * t)
+                   for i in range(1, 21))
+    if kind is SignalKind.BP:
+        return sum(a2 * np.sin(2 * np.pi * (50 - i) * t)
+                   + a1 * np.sin(2 * np.pi * (15 + i) * t)
+                   + a2 * np.sin(2 * np.pi * (1 + i) * t)
+                   for i in range(1, 21))
+    if kind is SignalKind.HP:
+        return sum(a1 * np.sin(2 * np.pi * (50 - i) * t) + a2 * np.sin(2 * np.pi * (1 + i) * t)
+                   for i in range(1, 21))
+    if kind is SignalKind.BS:
+        return sum(a1 * np.sin(2 * np.pi * (50 - i) * t)
+                   + a2 * np.sin(2 * np.pi * (15 + i) * t)
+                   + a1 * np.sin(2 * np.pi * (0 + i) * t)
+                   for i in range(1, 21))
+    return sum(a1 * np.sin(2 * np.pi * i * t) for i in range(1, 51))
+
+
+BAND_KINDS = (SignalKind.LP, SignalKind.BP, SignalKind.HP, SignalKind.BS, SignalKind.AP)
+
+
+class TestBandFormulas:
+    """The band signals and the comb, byte for byte (signed zeros too)
+    against the formulas written out term by term."""
+
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    @pytest.mark.parametrize("params", [
+        {},
+        {"a1": -3.0, "a2": 0.5, "sample_rate": 333.0, "duration": 1.7},
+        {"a1": 0.0, "a2": -0.0, "sample_rate": 333.0, "duration": 1.7},
+    ])
+    def test_generate_matches_the_written_formulas(self, kind, params):
+        spec = SignalSpec(kind, **params)
+        t = np.arange(int(round(spec.sample_rate * spec.duration))) / spec.sample_rate
+        want = today_band(kind, spec.a1, spec.a2, t)
+        assert generate(spec).samples.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("args", [(150.0,), (333.0, 1.7, -3.0, 5), (256.0, 2.0, -0.0, 5)])
+    def test_harmonic_comb_matches_the_written_formula(self, args):
+        rate, duration, amplitude, n_tones = args + (10.0, 100.0, 50)[len(args) - 1:]
+        t = np.arange(int(round(rate * duration))) / rate
+        want = sum(amplitude * np.sin(2 * np.pi * f * t) for f in range(1, n_tones + 1))
+        got = harmonic_comb(*args)
+        assert got.samples.tobytes() == want.tobytes() and got.sample_rate == rate
+
+
 class TestMultitone4:
     def test_four_channels_with_expected_variance(self):
         spec = SignalSpec(SignalKind.MULTITONE4, sample_rate=256.0, duration=4.0,
