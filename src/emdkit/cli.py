@@ -33,7 +33,7 @@ from .epemd import epemd, epmemd, verify_linoep
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 from .hsa import hilbert_spectrum
 from .memd import MultivariateSignal, memd
-from .metrics import ortho_report
+from .metrics import ortho_report, pee_identity_check
 from .siggen import (
     CHIRP_TF_PRESET,
     SignalKind,
@@ -309,7 +309,7 @@ def _read_meta(path: Path) -> dict[str, str]:
             (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
 
 
-def _channel_checks(x: SampledSignal, d: Decomposition, rep: dict):
+def _channel_checks(x: SampledSignal, d: Decomposition):
     """(name, ok, detail) for every contract ``d.variant`` promises."""
     r = ortho_report(x, d)
     err = r.reconstruction_error
@@ -326,9 +326,8 @@ def _channel_checks(x: SampledSignal, d: Decomposition, rep: dict):
         comps = d.components
         yield ("chain orthogonality", len(comps) < 2 or verify_linoep(comps),
                f"{len(comps)} components")
-    if "pee" in rep:
-        resid = abs(rep["pee"] - 100.0 * rep["io_total"])
-        yield "energy-error identity", resid <= 1e-9, f"|Pee - 100*IO_T| = {resid:.3e}"
+    resid = pee_identity_check(r)
+    yield "energy-error identity", resid <= 1e-9, f"|Pee - 100*IO_T| = {resid:.3e}"
 
 
 def run_verify(args) -> int:
@@ -339,22 +338,18 @@ def run_verify(args) -> int:
         if not p.exists():
             raise CliError(f"missing artifact {p}")
     meta = _read_meta(imfs_path)
-    table = read_signal_csv(imfs_path).as_array()
+    comps = read_signal_csv(imfs_path).channels
     signal = read_signal_csv(input_path)
     variant = Variant(meta.get("variant", "EMD"))
     dcs = [float(v) for v in meta.get("dc_constant", "0").split()]
-    report_path = art / "report.json"
-    rep = json.loads(report_path.read_text()) if report_path.exists() else {}
     n_ch = signal.n_channels
-    reps = rep.get("channels", [rep] * n_ch)
-    if len(dcs) != n_ch or len(reps) != n_ch or table.shape[1] % n_ch:
+    if len(dcs) != n_ch or len(comps) % n_ch:
         raise CliError(f"{art}: artifacts do not match the {n_ch} input channel(s)")
 
     checks: dict[str, list[tuple[bool, str]]] = {}
     for j, x in enumerate(signal.channels):
-        comps = [x.with_samples(c) for c in table[:, j::n_ch].T]
-        d = Decomposition(comps[:-1], comps[-1], variant, dcs[j])
-        for name, ok, detail in _channel_checks(x, d, reps[j]):
+        *imfs, residue = comps[j::n_ch]
+        for name, ok, detail in _channel_checks(x, Decomposition(imfs, residue, variant, dcs[j])):
             checks.setdefault(name, []).append(
                 (ok, detail if n_ch == 1 else f"ch{j + 1} {detail}"))
 

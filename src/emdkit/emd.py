@@ -157,27 +157,29 @@ def eemd(
     (residual noise ~ sigma/sqrt(N)); the reconstruction error is
     reported in ``diagnostics``.
     """
-    # sigma is taken on samples rescaled by a power of two, so that the
-    # squares in std neither overflow nor underflow at any amplitude.
-    k = _unit_exponent(x.samples)
-    sigma = ecfg.noise_stddev_ratio * float(np.ldexp(np.std(np.ldexp(x.samples, k)), -k))
+    # The ensemble runs on x scaled by 2**k, as in memd, so that neither the
+    # noise nor the trial sums leave the float64 range; the averages are
+    # scaled back exactly. Subnormal x keeps k = 0: emd gives it no IMFs.
+    k = _unit_exponent(x.samples) if np.max(np.abs(x.samples)) >= np.finfo(float).tiny else 0
+    xs = np.ldexp(x.samples, k)
+    sigma = ecfg.noise_stddev_ratio * float(np.std(xs))
     # Trials go into running sums; a mode no earlier trial reached starts at 0.
     imf_acc = np.zeros((0, x.n))
     res_acc = np.zeros(x.n)
     for i in range(ecfg.ensemble_size):
         noise = _trial_rng(ecfg.rng_seed, i).standard_normal(x.n) * sigma
-        d = emd(x.with_samples(x.samples + noise), scfg)
+        d = emd(x.with_samples(xs + noise), scfg)
         if len(d.imfs) > len(imf_acc):
             imf_acc = np.vstack((imf_acc, np.zeros((len(d.imfs) - len(imf_acc), x.n))))
-        for k, imf in enumerate(d.imfs):
-            imf_acc[k] += imf.samples
+        for j, imf in enumerate(d.imfs):
+            imf_acc[j] += imf.samples
         res_acc += d.residue.samples
     imf_acc /= ecfg.ensemble_size
     res_acc /= ecfg.ensemble_size
 
-    imfs = tuple(x.with_samples(row) for row in imf_acc)
-    residue = x.with_samples(res_acc)
     recon = imf_acc.sum(axis=0) + res_acc
-    scale = float(np.max(np.abs(x.samples))) or 1.0
-    diag = {"reconstruction_error": float(np.max(np.abs(recon - x.samples))) / scale}
+    scale = float(np.max(np.abs(xs))) or 1.0
+    diag = {"reconstruction_error": float(np.max(np.abs(recon - xs))) / scale}
+    imfs = tuple(x.with_samples(np.ldexp(row, -k)) for row in imf_acc)
+    residue = x.with_samples(np.ldexp(res_acc, -k))
     return Decomposition(imfs, residue, Variant.EEMD, diagnostics=diag)

@@ -68,9 +68,27 @@ CHIRP_TF_PRESET = SignalSpec(
 )
 
 
+#: The band signals, one row per kind: the tone count, then tone families
+#: (amplitude field, base Hz, step); tone i = 1..count of a family sits at
+#: base + step * i Hz. BS's low band deliberately starts at 1 Hz.
+_BAND_TONES = {
+    SignalKind.LP: (20, (("a2", 50, -1), ("a1", 1, 1))),
+    SignalKind.BP: (20, (("a2", 50, -1), ("a1", 15, 1), ("a2", 1, 1))),
+    SignalKind.HP: (20, (("a1", 50, -1), ("a2", 1, 1))),
+    SignalKind.BS: (20, (("a1", 50, -1), ("a2", 15, 1), ("a1", 0, 1))),
+    SignalKind.AP: (50, (("a1", 0, 1),)),
+}
+
+
 def _time_grid(spec: SignalSpec) -> np.ndarray:
     n = int(round(spec.sample_rate * spec.duration))
     return np.arange(n) / spec.sample_rate
+
+
+def _tone_sum(t: np.ndarray, count: int, families) -> np.ndarray:
+    """Tone by tone, i = 1..count: sum of amplitude * sin(2 pi (base + step i) t)."""
+    return sum(sum(a * np.sin(2 * np.pi * (base + step * i) * t) for a, base, step in families)
+               for i in range(1, count + 1))
 
 
 def generate(spec: SignalSpec) -> SampledSignal:
@@ -78,33 +96,9 @@ def generate(spec: SignalSpec) -> SampledSignal:
     t = _time_grid(spec)
     a1, a2 = spec.a1, spec.a2
     k = spec.kind
-    if k is SignalKind.LP:
-        v = sum(
-            a2 * np.sin(2 * np.pi * (50 - i) * t) + a1 * np.sin(2 * np.pi * (1 + i) * t)
-            for i in range(1, 21)
-        )
-    elif k is SignalKind.BP:
-        v = sum(
-            a2 * np.sin(2 * np.pi * (50 - i) * t)
-            + a1 * np.sin(2 * np.pi * (15 + i) * t)
-            + a2 * np.sin(2 * np.pi * (1 + i) * t)
-            for i in range(1, 21)
-        )
-    elif k is SignalKind.HP:
-        v = sum(
-            a1 * np.sin(2 * np.pi * (50 - i) * t) + a2 * np.sin(2 * np.pi * (1 + i) * t)
-            for i in range(1, 21)
-        )
-    elif k is SignalKind.BS:
-        # The low band deliberately starts at 1 Hz (0 + i with i = 1).
-        v = sum(
-            a1 * np.sin(2 * np.pi * (50 - i) * t)
-            + a2 * np.sin(2 * np.pi * (15 + i) * t)
-            + a1 * np.sin(2 * np.pi * (0 + i) * t)
-            for i in range(1, 21)
-        )
-    elif k is SignalKind.AP:
-        v = sum(a1 * np.sin(2 * np.pi * i * t) for i in range(1, 51))
+    if k in _BAND_TONES:
+        count, families = _BAND_TONES[k]
+        v = _tone_sum(t, count, [(getattr(spec, a), base, step) for a, base, step in families])
     elif k is SignalKind.AM:
         v = (1 + a2 * np.sin(2 * np.pi * 3 * t)) * (a1 * np.sin(2 * np.pi * 20 * t))
     elif k is SignalKind.FM:
@@ -146,9 +140,8 @@ def harmonic_comb(sample_rate: float, duration: float = 10.0, amplitude: float =
                   n_tones: int = 50) -> SampledSignal:
     """s(t) = sum of ``n_tones`` harmonics at 1..n_tones Hz, each of the
     given amplitude; the sweep signal of the sampling-rate experiment."""
-    n = int(round(sample_rate * duration))
-    t = np.arange(n) / sample_rate
-    v = sum(amplitude * np.sin(2 * np.pi * f * t) for f in range(1, n_tones + 1))
+    t = _time_grid(SignalSpec(SignalKind.AP, sample_rate=sample_rate, duration=duration))
+    v = _tone_sum(t, n_tones, [(amplitude, 0, 1)])
     return SampledSignal(v, sample_rate)
 
 
