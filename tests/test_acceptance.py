@@ -237,6 +237,24 @@ class TestHilbertOracle:
         assert np.max(np.abs(if_hz - freq)) <= 0.005 * freq
 
 
+@pytest.fixture(scope="module")
+def shared_emd():
+    """``emd`` memoized on (sample bytes, rate, config), and patched into
+    ``emdkit.significance``: the Gram-Schmidt noise tests post-process the
+    same 100 band-trial and 10 scored white-noise EMDs."""
+    memo = {}
+
+    def cached(x, cfg=SiftConfig()):
+        key = (x.samples.tobytes(), x.sample_rate, cfg)
+        if key not in memo:
+            memo[key] = emd(x, cfg)
+        return memo[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("emdkit.significance.emd", cached)
+        yield cached
+
+
 class TestNoiseSignificance:
     """9. White-noise components stay inside their own Monte-Carlo band
     for the leak-free variants, while forward-ordered orthogonalization
@@ -244,7 +262,7 @@ class TestNoiseSignificance:
 
     LENGTH = 2 ** 14
 
-    def _score(self, variant):
+    def _score(self, variant, emd):
         band = white_noise_band(self.LENGTH, variant, trials=100, seed=0)
         inside = total = 0
         seeds_with_outlier = 0
@@ -264,12 +282,12 @@ class TestNoiseSignificance:
 
     @pytest.mark.parametrize("variant", [Variant.EPEMD, Variant.ROIMF,
                                          Variant.ROUIMF])
-    def test_leak_free_variants_inside(self, variant):
-        frac, _ = self._score(variant)
+    def test_leak_free_variants_inside(self, shared_emd, variant):
+        frac, _ = self._score(variant, shared_emd)
         assert frac >= 0.90
 
-    def test_forward_order_flags_outliers(self):
-        _, seeds_with_outlier = self._score(Variant.FOIMF)
+    def test_forward_order_flags_outliers(self, shared_emd):
+        _, seeds_with_outlier = self._score(Variant.FOIMF, shared_emd)
         assert seeds_with_outlier >= 6
 
 

@@ -104,7 +104,9 @@ def test_eemd_of_subnormal_amplitude_has_no_imfs(rng):
     # emd's rule: below the normal range samples carry too few bits for
     # envelopes, whatever noise the ensemble adds in proportion.
     x = SampledSignal(rng.standard_normal(256) * 2.0 ** -1060, 1.0)
-    assert eemd(x, ecfg=EemdConfig(ensemble_size=4)).imfs == ()
+    d = eemd(x, ecfg=EemdConfig(ensemble_size=4))
+    assert d.imfs == ()
+    assert np.array_equal(d.residue.samples, x.samples)
 
 
 @pytest.mark.parametrize("k", [1019, 1022])

@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,12 +223,39 @@ class TestErrors:
                      "--algo", "epemd", "--post", "roimf",
                      "--output-dir", str(tmp_path / "out")]) == 1
 
-    @pytest.mark.parametrize("flags", [["--max-imfs", "-1"],
-                                       ["--out", "spectrum", "--freq-bins", "0"],
-                                       ["--out", "spectrum", "--time-bins", "0"]])
-    def test_invalid_counts(self, two_tone_csv, tmp_path, capsys, flags):
-        assert main(["decompose", "--input", str(two_tone_csv), *flags,
-                     "--output-dir", str(tmp_path / "out")]) == 1
+    @pytest.mark.parametrize("flags", [
+        ["--max-imfs", "-1"],
+        ["--out", "spectrum", "--freq-bins", "0"],
+        ["--out", "spectrum", "--time-bins", "0"],
+        ["--input", "one-column.csv"],
+        ["--input", "one-row.csv"],
+        ["--input", "nan.csv"],
+        ["--input", "backwards.csv"],
+        ["--gen", "nope"],
+        ["--input", "two.csv", "--algo", "memd", "--out", "spectrum"],
+        ["--input", "constant.csv", "--out", "spectrum"],
+        ["verify", "one-dc"],
+    ])
+    def test_invalid_counts(self, two_tone_csv, tmp_path, monkeypatch, capsys, flags):
+        # Every invalid input or option: exit 1 and one line on stderr.
+        monkeypatch.chdir(tmp_path)
+        for name, text in {"one-column.csv": "0\n1\n2\n", "one-row.csv": "time,ch1\n0,1\n",
+                           "nan.csv": "0,1\n1,nan\n2,3\n", "backwards.csv": "0,1\n1,2\n1,3\n",
+                           "constant.csv": "0,1\n1,1\n2,1\n3,1\n"}.items():
+            Path(name).write_text(text)
+        write_csv(Path("two.csv"), [sine(4.0, 64.0, 1.0), sine(8.0, 64.0, 1.0)])
+        if flags[0] == "verify":  # two-channel artifacts with one dc constant
+            assert main(["decompose", "--input", "two.csv", "--algo", "memd",
+                         "--directions", "8", "--output-dir", "one-dc"]) == 0
+            imfs = Path("one-dc", "imfs.csv")
+            imfs.write_text(re.sub(r"# dc_constant=\S+ \S+", "# dc_constant=0", imfs.read_text()))
+            argv = flags
+        elif "--input" in flags or "--gen" in flags:
+            argv = ["decompose", *flags, "--output-dir", "out"]
+        else:
+            argv = ["decompose", "--input", str(two_tone_csv), *flags, "--output-dir", "out"]
+        capsys.readouterr()
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
