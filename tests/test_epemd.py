@@ -92,6 +92,61 @@ class TestVerifyLinoep:
         with pytest.raises(ValueError):
             verify_linoep([sine(3.0, 100.0, 1.0)])
 
+    @pytest.mark.parametrize("k", [0, 1000, -1000])
+    def test_agrees_with_the_tail_sum_check(self, k):
+        for comps, expected in linoep_battery(np.random.default_rng(7)):
+            comps = [c.with_samples(np.ldexp(c.samples, k)) for c in comps]
+            assert verify_linoep(comps) == linoep_by_tail_sums(comps) == expected
+
+
+def linoep_by_tail_sums(components) -> bool:
+    """The chain check as a cumulative tail sum and a loop over components,
+    on the same exactly rescaled stack: the reference for verify_linoep."""
+    stack = np.array([c.samples for c in components])
+    np.ldexp(stack, -int(np.frexp(np.max(np.abs(stack)))[1]), out=stack)
+    dt = components[0].dt
+    e_total = float((stack * stack).sum()) * dt
+    if e_total == 0.0:
+        return True
+    tail = np.cumsum(stack[::-1], axis=0)[::-1]  # tail[i] = sum of rows i..end
+    for i in range(len(components) - 1):
+        if abs(float(np.dot(stack[i], tail[i + 1])) * dt) > 1e-9 * e_total:
+            return False
+    e_sum = float(np.dot(tail[0], tail[0])) * dt
+    return abs(e_total - e_sum) <= 1e-9 * e_total
+
+
+def with_chain_defects(components, defects):
+    """Components whose i-th chain product <c_i, c_i+1 + ... + c_m> is
+    ``defects[i]`` times 1e-9 of the total energy; c_i moves along the
+    sum of the later components, which leaves every later product as is."""
+    rows = [c.samples.copy() for c in components]
+    tol = 1e-9 * sum(float(np.dot(r, r)) for r in rows)
+    for i in sorted(defects, reverse=True):
+        tail = np.sum(rows[i + 1:], axis=0)
+        rows[i] += (defects[i] * tol - float(np.dot(rows[i], tail))) / float(np.dot(tail, tail)) * tail
+    return [c.with_samples(r) for c, r in zip(components, rows)]
+
+
+def linoep_battery(rng):
+    """(components, expected verdict) pairs: EPEMD chains of white noise,
+    random sets, chains perturbed around the tolerance and all-zero sets.
+    The energy identity's defect is twice the summed chain defects, so one
+    defect of f/2 puts the identity at f times its tolerance, and a pair of
+    opposite defects leaves it intact while the chain check fails."""
+    cases = []
+    for n, rate in ((64, 1.0), (512, 100.0), (300, 1e-3)):
+        chain = list(epemd(sig(rng.standard_normal(n), rate)).components)
+        cases.append((chain, True))
+        cases.append((chain[::-1], False))
+        for f in (0.5, 2.0):
+            cases.append((with_chain_defects(chain, {0: f / 2}), f < 1))
+            cases.append((with_chain_defects(chain, {0: f, 1: -f}), f < 1))
+        for m in (2, 3, 6):
+            cases.append(([sig(v, rate) for v in rng.standard_normal((m, n))], False))
+        cases.append(([sig(np.zeros(n), rate)] * 3, True))
+    return cases
+
 
 SUITE = [SignalKind.LP, SignalKind.AM, SignalKind.FM, SignalKind.WGN]
 

@@ -3,6 +3,7 @@ import pytest
 
 from emdkit import (
     Decomposition,
+    DimensionMismatchError,
     EemdConfig,
     SampledSignal,
     SignalKind,
@@ -78,6 +79,12 @@ class TestOrthoReport:
         rep2 = ortho_report(xs, ds)
         assert rep2.io_total == pytest.approx(rep1.io_total, rel=1e-10, abs=1e-14)
         assert rep2.pee == pytest.approx(rep1.pee, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("n, rate", [(255, 64.0), (256, 32.0)])
+    def test_signal_must_match_the_decomposition(self, rng, n, rate):
+        d = emd(sig(rng.standard_normal(256), 64.0))
+        with pytest.raises(DimensionMismatchError):
+            ortho_report(sig(rng.standard_normal(n), rate), d)
 
     def test_pee_sign_convention(self):
         # Component energies exceeding the signal energy make Pee negative.
