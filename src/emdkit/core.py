@@ -167,7 +167,17 @@ def _unit_exponent(*arrays) -> int:
     ratios of dot products are unchanged, but the dots can neither
     overflow nor underflow at huge or tiny amplitudes."""
     peak = max(max(float(a.max()), -float(a.min())) for a in arrays)  # max |a|, no temporary
-    return -int(np.frexp(peak)[1])
+    return -math.frexp(peak)[1]
+
+
+def _unit_stack(*arrays) -> tuple[np.ndarray, int]:
+    """The sample arrays as the rows of one new matrix, scaled in place by
+    ``2**k`` with k = ``_unit_exponent``; returns (rows, k). Every energy
+    ratio is taken on these rows, so it is the same at any amplitude."""
+    rows = np.array(arrays, dtype=float)
+    k = _unit_exponent(rows)
+    np.ldexp(rows, k, out=rows)
+    return rows, k
 
 
 def inner_product(a: SampledSignal, b: SampledSignal) -> float:

@@ -3,7 +3,8 @@
 Sifting stops on the Cauchy SD criterion (default threshold 0.2), an
 early IMF-test pass, or a hard iteration cap. Extraction of modes stops
 when the running residue no longer supports envelopes (constant,
-monotone, down to a single maximum/minimum, or of subnormal amplitude).
+monotone, down to a single maximum/minimum, or of subnormal amplitude)
+or its next IMF would be rounding noise.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import Decomposition, SampledSignal, Variant, _unit_exponent
+from .core import Decomposition, SampledSignal, Variant, _unit_exponent, _unit_stack
 from .envelope import EnvelopePair, NoEnvelopeError, _samples, build_envelopes
 
 logger = logging.getLogger(__name__)
@@ -67,6 +68,19 @@ def is_imf(x) -> bool:
     return _imf_test(x, env)
 
 
+def _below_normal(x) -> bool:
+    """True for nonzero samples ``x`` whose peak is below the normal
+    floating-point range; every decomposition gives them no IMFs."""
+    return 0.0 < float(np.abs(x).max()) < np.finfo(float).tiny
+
+
+def _rounding_noise(mode, x) -> bool:
+    """True when the peak of ``mode``, sifted from the samples ``x``, is at
+    most 16 eps times the peak of ``x``: the sift's rounding errors alone
+    make such a mode, and would make another from every residue."""
+    return float(np.abs(mode).max()) <= 16 * np.finfo(float).eps * float(np.abs(x).max())
+
+
 def _imf_test(x, env: EnvelopePair) -> bool:
     """The IMF test of the samples ``x``, read from their envelope ``env``."""
     if abs(env.extrema.n_extrema - zero_crossing_count(x)) > 1:
@@ -83,16 +97,15 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     amplitude is below the normal floating-point range counts as having
     none: its samples carry too few significant bits for envelopes, and
     the spline's rounding noise would feed new extrema to every residue.
+    So does an ``x`` whose IMF comes out as rounding noise.
     """
     h = x.samples
-    if 0.0 < np.max(np.abs(h)) < np.finfo(float).tiny:
+    if _below_normal(h):
         raise NoEnvelopeError("amplitude below the normal floating-point range")
     env = build_envelopes(h)  # propagate NoEnvelopeError on first pass
     for it in range(cfg.max_sift_iterations):
         h_new = h - env.mean
-        e = _unit_exponent(h)
-        hs = np.ldexp(h, e)
-        ds = np.ldexp(h - h_new, e)
+        (hs, ds), _ = _unit_stack(h, h - h_new)
         denom = float(np.dot(hs, hs))
         sd = float(np.dot(ds, ds)) / denom if denom > 0 else 0.0
         h = h_new
@@ -105,6 +118,8 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
         if _imf_test(h, env):
             break
     logger.debug("sift finished after %d iteration(s)", it + 1)
+    if _rounding_noise(h, x.samples):
+        raise NoEnvelopeError("the IMF is rounding noise")
     return x.with_samples(h), x.with_samples(x.samples - h)
 
 
@@ -160,7 +175,7 @@ def eemd(
     # The ensemble runs on x scaled by 2**k, as in memd, so that neither the
     # noise nor the trial sums leave the float64 range; the averages are
     # scaled back exactly. Subnormal x keeps k = 0: emd gives it no IMFs.
-    k = _unit_exponent(x.samples) if np.max(np.abs(x.samples)) >= np.finfo(float).tiny else 0
+    k = 0 if _below_normal(x.samples) else _unit_exponent(x.samples)
     xs = np.ldexp(x.samples, k)
     sigma = ecfg.noise_stddev_ratio * float(np.std(xs))
     # Trials go into running sums; a mode no earlier trial reached starts at 0.

@@ -15,12 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    Decomposition,
-    SampledSignal,
-    Variant,
-    _unit_exponent,
-)
+from .core import Decomposition, SampledSignal, Variant, _unit_stack
 from .emd import SiftConfig, _extract_modes, sift_one_imf
 from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
 
@@ -41,8 +36,7 @@ def orthogonalize_stage(imf: SampledSignal, residue: SampledSignal) -> LinoepSta
     orthogonal pair; epimf + residue_out equals imf + residue exactly.
     The energies behind alpha are taken on exactly rescaled samples."""
     imf._check_compatible(residue)
-    k = _unit_exponent(imf.samples, residue.samples)
-    u, r = np.ldexp(imf.samples, k), np.ldexp(residue.samples, k)
+    (u, r), _ = _unit_stack(imf.samples, residue.samples)
     e_res = float(np.dot(r, r)) * imf.dt
     e_in = float(np.dot(u, u)) * imf.dt + e_res
     if e_res <= ZERO_RESIDUE_THRESHOLD * e_in:
@@ -81,22 +75,17 @@ def verify_linoep(components) -> bool:
     components = list(components)
     if len(components) < 2:
         raise ValueError("need at least 2 components")
-    ref = components[0]
     for sig in components[1:]:
-        ref._check_compatible(sig)
+        components[0]._check_compatible(sig)
 
-    stack = np.array([c.samples for c in components])
-    np.ldexp(stack, _unit_exponent(stack), out=stack)  # exact; keeps the dots finite
-    dt = ref.dt
-    e_total = float((stack * stack).sum()) * dt
-    if e_total == 0.0:
-        return True
-    tail = np.cumsum(stack[::-1], axis=0)[::-1]  # tail[i] = sum of rows i..end
-    for i in range(len(components) - 1):
-        if abs(float(np.dot(stack[i], tail[i + 1])) * dt) > 1e-9 * e_total:
-            return False
-    e_sum = float(np.dot(tail[0], tail[0])) * dt
-    return abs(e_total - e_sum) <= 1e-9 * e_total
+    stack, _ = _unit_stack(*(c.samples for c in components))
+    gram = stack @ stack.T
+    e_total = float(np.trace(gram))
+    # Row i of the strict upper triangle sums to <c_i, c_i+1 + ... + c_m>;
+    # the whole matrix sums to the energy of the component sum.
+    chain = np.triu(gram, 1).sum(axis=1)
+    return bool(np.all(np.abs(chain) <= 1e-9 * e_total)
+                and abs(e_total - float(gram.sum())) <= 1e-9 * e_total)
 
 
 def _orthogonalize_channels(mode: MultivariateSignal, residue: MultivariateSignal):

@@ -25,7 +25,7 @@ from .core import (
     SampledSignal,
     Variant,
     remove_mean,
-    _unit_exponent,
+    _unit_stack,
 )
 from .emd import is_imf
 
@@ -59,9 +59,7 @@ def gram_schmidt(inputs) -> GsomResult:
         ref._check_compatible(sig)
 
     m = len(inputs)
-    y = np.array([sig.samples for sig in inputs])
-    exp = _unit_exponent(y)  # the sweep runs on exactly rescaled samples
-    np.ldexp(y, exp, out=y)
+    y, exp = _unit_stack(*(sig.samples for sig in inputs))
     s = np.zeros_like(y)
     coeff = np.eye(m)
     for k in range(m):
@@ -112,8 +110,7 @@ def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
     # A (near-)zero component carries no direction to orthogonalize
     # against -- a constant residue centered by the uncorrelated variants
     # is the common case -- so, like OIMF's residue, it keeps its slot.
-    k = _unit_exponent(*(c.samples for c in out))
-    energies = [float(np.dot(s, s)) for s in (np.ldexp(c.samples, k) for c in out)]
+    energies = [float(np.dot(s, s)) for s in _unit_stack(*(c.samples for c in out))[0]]
     e_total = sum(energies)
     active = [i for i in order if energies[i] > 1e-24 * e_total]
     result = gram_schmidt([out[i] for i in active])

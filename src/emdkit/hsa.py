@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .core import Decomposition, InsufficientDataError, SampledSignal, _unit_exponent
+from .core import Decomposition, InsufficientDataError, SampledSignal, _unit_stack
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,7 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
     """
     if x.n < 8:
         raise InsufficientDataError("analytic signal needs at least 8 samples")
-    k = _unit_exponent(x.samples)
-    y = np.ldexp(x.samples, k)
+    (y,), k = _unit_stack(x.samples)
     spec = fft(y)
     spec[1:(x.n + 1) // 2] *= 2.0
     spec[x.n // 2 + 1:] = 0.0

@@ -25,7 +25,7 @@ from .core import (
     Variant,
     _unit_exponent,
 )
-from .emd import SiftConfig, _extract_modes, emd
+from .emd import SiftConfig, _below_normal, _extract_modes, _rounding_noise, emd
 from .envelope import _mirror_extend, cubic_spline, detect_extrema
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
@@ -219,8 +219,9 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
                                   cfg: SiftConfig):
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
     the stoppage ratio holds. Returns (mode, residue); raises
-    NoEnvelopeError when ``x`` has no envelope (end of decomposition)."""
-    mode = x.as_array()
+    NoEnvelopeError when ``x`` has no envelope or the mode is rounding
+    noise (end of decomposition)."""
+    data = mode = x.as_array()
     work = x
     for it in range(cfg.max_sift_iterations):
         try:
@@ -233,8 +234,9 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
             break
         mode = mode - env
         work = x.from_array(mode)
-    residue = x.from_array(x.as_array() - mode)
-    return x.from_array(mode), residue
+    if _rounding_noise(mode, data):
+        raise NoEnvelopeError("the mode is rounding noise")
+    return x.from_array(mode), x.from_array(data - mode)
 
 
 def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant: Variant,
@@ -244,6 +246,8 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     each extracted pair. A single-channel input goes to ``univariate``.
     Extraction runs on the input rescaled by a power of two (exact, so
     safe up to the top of the float64 range), and the modes are scaled back.
+    Input below the normal range keeps its scale, as in eemd, and so falls
+    under the residue floor: like emd, it has no IMFs.
     """
     if x.n_channels == 1:
         d = univariate(x.channels[0], cfg)
@@ -251,13 +255,13 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
 
     dirs = hammersley_directions(x.n_channels, K)
     data = x.as_array()
-    k = _unit_exponent(data)
+    k = 0 if _below_normal(data) else _unit_exponent(data)
     np.ldexp(data, k, out=data)
-    floor = NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(data)))
+    floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(data))), np.finfo(float).tiny)
 
     def extract(work):
         if float(np.max(np.abs(work.as_array()))) <= floor:
-            raise NoEnvelopeError("the residue is negligible")
+            raise NoEnvelopeError("the residue is negligible or below the normal range")
         return _extract_one_multivariate_imf(work, dirs, cfg)
 
     modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)

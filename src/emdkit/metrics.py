@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Decomposition,
-    DimensionMismatchError,
-    SampledSignal,
-    Variant,
-    _unit_exponent,
-)
+from .core import Decomposition, SampledSignal, Variant, _unit_stack
 
 
 @dataclass(frozen=True)
@@ -33,22 +27,6 @@ class OrthoReport:
     reference_energy: float
     reconstruction_error: float  # relative max-norm of x - sum(components)
     component_labels: tuple[str, ...]
-
-
-def _component_stack(x: SampledSignal, d: Decomposition):
-    comps = []
-    labels = []
-    for i, imf in enumerate(d.imfs, start=1):
-        x._check_compatible(imf)
-        comps.append(imf.samples)
-        labels.append(f"imf{i}")
-    x._check_compatible(d.residue)
-    comps.append(d.residue.samples)
-    labels.append("residue")
-    if d.dc_constant != 0.0:
-        comps.append(np.full(x.n, d.dc_constant))
-        labels.append("dc")
-    return np.array(comps), tuple(labels)
 
 
 def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
@@ -65,10 +43,14 @@ def ortho_report(x: SampledSignal, d: Decomposition) -> OrthoReport:
     are ``inf``, without a warning, only where they exceed the float64
     range.
     """
-    stack, labels = _component_stack(x, d)
-    k = _unit_exponent(x.samples, stack)
-    xs = np.ldexp(x.samples, k)
-    np.ldexp(stack, k, out=stack)
+    x._check_compatible(d.residue)  # Decomposition checks every IMF against it
+    comps = [c.samples for c in d.components]
+    labels = tuple(f"imf{i}" for i in range(1, len(d.imfs) + 1)) + ("residue",)
+    if d.dc_constant != 0.0:
+        comps.append(np.full(x.n, d.dc_constant))
+        labels += ("dc",)
+    rows, k = _unit_stack(*comps, x.samples)
+    stack, xs = rows[:-1], rows[-1]
     e_x = float(np.dot(xs, xs)) * x.dt
     if e_x == 0.0:
         raise ZeroDivisionError("zero-energy signal: orthogonality ratios undefined")

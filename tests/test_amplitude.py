@@ -109,6 +109,16 @@ def test_eemd_of_subnormal_amplitude_has_no_imfs(rng):
     assert np.array_equal(d.residue.samples, x.samples)
 
 
+@pytest.mark.parametrize("algo", [memd, epmemd])
+def test_multivariate_of_subnormal_amplitude_has_no_imfs(rng, algo):
+    x = MultivariateSignal(tuple(SampledSignal(c * 2.0 ** -1060, 1.0)
+                                 for c in rng.standard_normal((2, 256))))
+    d = algo(x, 8, SiftConfig(max_imfs=4))
+    for dj, xj in zip(d.channels, x.channels, strict=True):
+        assert dj.imfs == ()
+        assert np.array_equal(dj.residue.samples, xj.samples)
+
+
 @pytest.mark.parametrize("k", [1019, 1022])
 @pytest.mark.parametrize("algo", [emd, epemd])
 def test_decomposition_scales_exactly_near_the_float64_maximum(rng, algo, k):

@@ -258,6 +258,14 @@ class TestEmd:
         assert d.imfs == ()
         np.testing.assert_array_equal(d.residue.samples, x.samples)
 
+    def test_rounding_noise_is_residue(self, rng):
+        # Sifting a constant plus noise of a roundoff unit or so gives an IMF
+        # of rounding noise, and would give another from every residue.
+        x = sig(0.967 + rng.standard_normal(256) * 7e-17)
+        for d in (emd(x, SiftConfig(max_imfs=20)), epemd(x, SiftConfig(max_imfs=20))):
+            assert d.imfs == ()
+            np.testing.assert_array_equal(d.residue.samples, x.samples)
+
     def test_spectral_centroid_ordering_statistical(self, rng):
         def centroid(s):
             power = np.abs(np.fft.rfft(s.samples)) ** 2
@@ -280,6 +288,12 @@ class TestEmd:
 
 
 class TestEemd:
+    def test_constant_signal_has_no_imfs(self):
+        # The noise added to a constant is a fraction of its std: roundoff.
+        d = eemd(sig(np.full(77, 0.1)), SiftConfig(max_imfs=20), EemdConfig(ensemble_size=4))
+        assert d.imfs == ()
+        np.testing.assert_allclose(d.residue.samples, 0.1, rtol=1e-15)
+
     def test_zero_noise_equals_emd(self):
         x = sine(5.0, 200.0, 2.0)
         d_plain = emd(x)

@@ -10,6 +10,7 @@ from emdkit import (
     MultivariateSignal,
     NoEnvelopeError,
     SampledSignal,
+    SiftConfig,
     SignalKind,
     SignalSpec,
     Variant,
@@ -184,6 +185,13 @@ class TestMemd:
         x = MultivariateSignal((SampledSignal(np.array([1.0, -2.0]), 1.0),
                                 SampledSignal(np.array([0.5, 3.0]), 1.0)))
         d = memd(x, K=8)
+        assert d.imfs == ()
+        np.testing.assert_array_equal(d.residue.as_array(), x.as_array())
+
+    def test_rounding_noise_has_no_modes(self, rng):
+        x = MultivariateSignal(tuple(SampledSignal(0.967 + c * 7e-17, 1.0)
+                                     for c in rng.standard_normal((2, 128))))
+        d = memd(x, 8, SiftConfig(max_imfs=20))
         assert d.imfs == ()
         np.testing.assert_array_equal(d.residue.as_array(), x.as_array())
 

@@ -1,9 +1,10 @@
-"""Whole-pipeline properties of emd and epemd over generated inputs.
+"""Whole-pipeline properties of every decomposition over generated inputs.
 
 Inputs are 3 to 512 samples, each exactly 0 or of magnitude between
 1e-6 and 1e6: dense records that mix zeros and up to twelve decades of
 amplitude, and records of one repeated value with scattered others
-(plateaus, steps, spikes). Examples are derandomized, so every run
+(plateaus, steps, spikes). memd and epmemd take the record and its
+reversal as two channels. Examples are derandomized, so every run
 checks the same ones.
 """
 
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from emdkit import SampledSignal, emd, epemd, verify_linoep
+from emdkit import (EemdConfig, MultivariateSignal, SampledSignal, eemd, emd, epemd, epmemd,
+                    memd, verify_linoep)
 
 MAGNITUDES = st.floats(1e-6, 1e6)
 VALUES = st.one_of(st.just(0.0), MAGNITUDES, MAGNITUDES.map(lambda v: -v))
@@ -46,7 +48,38 @@ def test_pipeline_properties(algo, v, k):
     if algo is epemd and len(d.components) >= 2:
         assert verify_linoep(d.components), "EPEMD chain"
 
-    scaled = algo(SampledSignal(np.ldexp(v, k), 1.0))
+    assert_scaled(algo(SampledSignal(np.ldexp(v, k), 1.0)), d, k)
+
+
+@pytest.mark.parametrize("algo", [memd, epmemd])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(v=SAMPLES, k=st.sampled_from([200, -200]))
+def test_multivariate_pipeline_properties(algo, v, k):
+    x = np.stack((v, v[::-1]))
+    md = algo(MultivariateSignal(tuple(SampledSignal(c, 1.0) for c in x)), 8)
+    assert len(md.imfs) <= math.log2(v.size) + 1, "mode count"
+    for d, c in zip(md.channels, x, strict=True):
+        err = np.max(np.abs(d.reconstruct().samples - c))
+        assert err <= 1e-9 * np.max(np.abs(c)), "completeness per channel"
+        if algo is epmemd and len(d.components) >= 2:
+            assert verify_linoep(d.components), "EPMEMD chain per channel"
+
+    scaled = algo(MultivariateSignal(tuple(SampledSignal(np.ldexp(c, k), 1.0) for c in x)), 8)
+    for a, b in zip(scaled.channels, md.channels, strict=True):
+        assert_scaled(a, b, k)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(v=SAMPLES, k=st.sampled_from([200, -200]))
+def test_ensemble_properties(v, k):
+    # Completeness is approximate by design: the ensemble's noise stays.
+    cfg = EemdConfig(ensemble_size=4)
+    d = eemd(SampledSignal(v, 1.0), ecfg=cfg)
+    assert len(d.imfs) <= math.log2(v.size) + 1, "IMF count"
+    assert_scaled(eemd(SampledSignal(np.ldexp(v, k), 1.0), ecfg=cfg), d, k)
+
+
+def assert_scaled(scaled, d, k):
     assert len(scaled.imfs) == len(d.imfs), "IMF count under 2**k scaling"
     for a, b in zip(scaled.components, d.components, strict=True):
         assert np.array_equal(a.samples, np.ldexp(b.samples, k)), "2**k scaling"
