@@ -85,7 +85,7 @@ def _imf_test(x, env: EnvelopePair) -> bool:
     """The IMF test of the samples ``x``, read from their envelope ``env``."""
     if abs(env.extrema.n_extrema - zero_crossing_count(x)) > 1:
         return False
-    return float(np.max(np.abs(env.mean))) <= 0.05 * float(np.max(np.abs(x)))
+    return float(np.abs(env.mean).max()) <= 0.05 * float(np.abs(x).max())
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
