@@ -18,7 +18,7 @@ from emdkit import (
     sweep_io_t,
     white_noise_band,
 )
-from emdkit.cli import main, read_signal_csv
+from emdkit.cli import CliError, main, read_signal_csv
 from conftest import sine
 
 
@@ -60,6 +60,45 @@ class TestReadSignalCsv:
         p.write_text("# a comment\n0.0,1.0\n# another\n0.5,2.0\n1.0,3.0\n")
         sig = read_signal_csv(p)
         assert sig.channels[0].sample_rate == pytest.approx(2.0)
+
+    LF_TEXT = ("# made by hand\n"
+               "time,a,b\n"
+               "0.0,1.5,-2.0\n"
+               "# between rows\n"
+               "\n"
+               "0.25,2.5,1e-300\n"
+               "  0.5 , 3.5 ,7\n"
+               "0.75,4.5,-0.0\n")
+
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "no-final-newline", "bare"])
+    def test_line_endings_and_layout_parse_alike(self, tmp_path, variant):
+        text = {"crlf": self.LF_TEXT.replace("\n", "\r\n"),
+                "cr": self.LF_TEXT.replace("\n", "\r"),
+                "no-final-newline": self.LF_TEXT[:-1],
+                "bare": "".join(line + "\n" for line in self.LF_TEXT.splitlines()
+                                if line and not line.startswith(("#", "time")))}[variant]
+        (tmp_path / "lf.csv").write_text(self.LF_TEXT)
+        (tmp_path / "x.csv").write_bytes(text.encode())
+        want, got = (read_signal_csv(tmp_path / name) for name in ("lf.csv", "x.csv"))
+        assert want.n_channels == got.n_channels == 2
+        for a, b in zip(want.channels, got.channels):
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert (a.sample_rate, a.t0) == (b.sample_rate, b.t0) == (4.0, 0.0)
+        assert want.channels[1].samples.tolist() == [-2.0, 1e-300, 7.0, -0.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("body, message", [
+        ("time,x\n0,1\n# c\n1,oops\n", ":4: could not convert string to float: 'oops'"),
+        ("time,x\n0,1\n\n1,2,3\n", ":4: expected 2 fields, got 3"),
+        ("# c\n0\n1\n", ":2: need a time column and at least one value column"),
+        ("time,x\n0,1\n", ": fewer than 2 data rows"),
+    ])
+    def test_errors_keep_their_line_numbers(self, tmp_path, newline, body, message):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(body.replace("\n", newline).encode())
+        with pytest.raises(CliError) as info:
+            read_signal_csv(p)
+        assert str(info.value) == f"{p}{message}"
 
 
 class TestDecompose:
@@ -323,6 +362,16 @@ class TestErrors:
         assert main(["verify", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS") for line in lines)
+
+    def test_constant_input_spectrum_writes_nothing(self, tmp_path, capsys):
+        # No IMF to build a spectrum from: the error comes before any file.
+        p = tmp_path / "const.csv"
+        write_csv(p, [SampledSignal(np.full(64, 2.5), 64.0)])
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--out", "imfs,spectrum",
+                     "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: spectrum output needs at least one IMF\n"
+        assert not out.exists()
 
     def test_unknown_output(self, two_tone_csv, tmp_path):
         assert main(["decompose", "--input", str(two_tone_csv),

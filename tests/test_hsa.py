@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emdkit
+import emdkit.cli
 from emdkit import (
     CHIRP_TF_PRESET,
     InsufficientDataError,
@@ -181,3 +183,100 @@ class TestHilbertSpectrum:
         d = Decomposition((bad,), bad.with_samples(np.zeros(2048)), Variant.EMD)
         h = hilbert_spectrum(d)
         assert h.negative_if_samples > 0
+
+
+def _dense_build(d, n_freq_bins, n_time_bins):
+    """Reference Hilbert spectrum on a dense ``freq x time`` grid:
+    ``np.add.at`` per IMF, ``grid.sum(axis=1) * dt`` for the marginal,
+    the first argmax of each column for the ridge (NaN where the column
+    holds no energy), and the non-zero cells frequency-major."""
+    ref = d.imfs[0]
+    f_width = ref.sample_rate / 2.0 / n_freq_bins
+    freq_bins = (np.arange(n_freq_bins) + 0.5) * f_width
+    n_time = ref.n if n_time_bins is None else n_time_bins
+    time_bins = ref.t0 + (np.arange(n_time) + 0.5) * (ref.n / (ref.sample_rate * n_time))
+    t_idx = np.minimum((np.arange(ref.n) // (ref.n / n_time)).astype(int), n_time - 1)
+    grid = np.zeros((n_freq_bins, n_time))
+    with np.errstate(over="ignore"):
+        for imf in d.imfs:
+            attrs = analytic_signal(imf)
+            f_idx = np.clip(np.floor(attrs.inst_freq / f_width).astype(int), 0, n_freq_bins - 1)
+            np.add.at(grid, (f_idx, t_idx), attrs.amplitude**2)
+        marginal = grid.sum(axis=1) * ref.dt
+    ridge = freq_bins[np.argmax(grid, axis=0)]
+    ridge[grid.sum(axis=0) == 0] = np.nan
+    rows = "".join("%.17g,%.17g,%.17g\n" % (freq_bins[fi], time_bins[ti], grid[fi, ti])
+                   for fi, ti in np.argwhere(grid != 0))
+    return grid, marginal, ridge, "freq_bin,time_bin,energy\n" + rows
+
+
+def _noise_decomposition(n, scale=1.0):
+    v = np.random.default_rng(n).standard_normal(n) * scale
+    return emd(SampledSignal(v, 100.0))
+
+
+def _with_zero_imf(n):
+    d = _noise_decomposition(n)
+    zero = d.residue.with_samples(np.zeros(n))
+    return Decomposition((d.imfs[0], zero, *d.imfs[1:]), d.residue, Variant.EMD)
+
+
+def _only_zero_imf(n):
+    zero = SampledSignal(np.zeros(n), 100.0)
+    return Decomposition((zero,), zero, Variant.EMD)
+
+
+def _offset_sine(n):
+    t = np.arange(n) / 256.0
+    bad = SampledSignal(np.sin(2 * np.pi * 3 * t) + 5.0, 256.0)
+    return Decomposition((bad,), bad.with_samples(np.zeros(n)), Variant.EMD)
+
+
+SPECTRUM_CASES = [
+    *[(f"noise-{n}", partial(_noise_decomposition, n), bins)
+      for n in (64, 256, 1024, 4096) for bins in ((256, None), (16, n // 3 + 1))],
+    ("negative-if", partial(_offset_sine, 2048), (256, None)),
+    ("zero-imf", partial(_with_zero_imf, 512), (32, None)),
+    ("zero-imf-binned", partial(_with_zero_imf, 512), (32, 100)),
+    ("only-zero-imf", partial(_only_zero_imf, 256), (32, 40)),
+    ("inf-energy", partial(_noise_decomposition, 1024, 2.0**1000), (64, None)),
+    ("inf-energy-binned", partial(_noise_decomposition, 1024, 2.0**1000), (64, 50)),
+]
+
+
+class TestSpectrumMatchesDenseBuild:
+    """Spectrum, marginal, ridge and ``spectrum.csv`` are bit for bit
+    those of the dense reference build above."""
+
+    @pytest.mark.parametrize("make, bins", [c[1:] for c in SPECTRUM_CASES],
+                             ids=[c[0] for c in SPECTRUM_CASES])
+    def test_bit_identical(self, make, bins, tmp_path, monkeypatch):
+        d = make()
+        n_freq, n_time = bins
+        grid, marginal, ridge, spectrum_csv = _dense_build(d, n_freq, n_time)
+        h = hilbert_spectrum(d, n_freq_bins=n_freq, n_time_bins=n_time)
+        assert h.energy.tobytes() == grid.tobytes()
+        assert h.marginal.tobytes() == marginal.tobytes()
+        assert spectral_ridge(h).tobytes() == ridge.tobytes()
+
+        ref = d.imfs[0]
+        csv = tmp_path / "in.csv"
+        csv.write_text("".join(f"{k / ref.sample_rate!r},0.0\n" for k in range(ref.n)))
+        monkeypatch.setattr(sys.modules["emdkit.cli"], "_decompose", lambda *a: (d,))
+        argv = ["decompose", "--input", str(csv), "--out", "spectrum,marginal",
+                "--freq-bins", str(n_freq), "--output-dir", str(tmp_path / "out")]
+        if n_time is not None:
+            argv += ["--time-bins", str(n_time)]
+        assert emdkit.cli.main(argv) == 0
+        assert (tmp_path / "out" / "spectrum.csv").read_text() == spectrum_csv
+        marginal_csv = "freq,energy\n" + "".join(
+            "%.17g,%.17g\n" % fe for fe in zip(h.freq_bins, marginal))
+        assert (tmp_path / "out" / "marginal.csv").read_text() == marginal_csv
+
+    def test_cases_cover_the_edges(self):
+        cases = {name: make() for name, make, _ in SPECTRUM_CASES}
+        assert hilbert_spectrum(cases["negative-if"]).negative_if_samples > 0
+        assert not np.any(cases["zero-imf"].imfs[1].samples)
+        assert np.isnan(spectral_ridge(hilbert_spectrum(cases["only-zero-imf"]))).all()
+        h = hilbert_spectrum(cases["inf-energy"], n_freq_bins=64)
+        assert np.isinf(h.energy).any() and np.isinf(h.marginal).any()
