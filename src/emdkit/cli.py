@@ -17,6 +17,8 @@ import argparse
 import json
 import os
 import sys
+from array import array
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -59,42 +61,46 @@ class CliError(Exception):
 
 
 def read_signal_csv(path: Path) -> MultivariateSignal:
-    """Parse a time-plus-channels CSV into a multivariate signal."""
+    """Parse a time-plus-channels CSV into a multivariate signal.
+
+    The file is read line by line (``\\n``, ``\\r\\n`` or ``\\r`` ends a
+    line) into one flat float64 buffer."""
     try:
-        text = path.read_text()
+        lines = path.open()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
-    rows: list[list[float]] = []
+    values = array("d")
     width = None
     first_data_line = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-            if width < 2:
-                raise CliError(f"{path}:{lineno}: need a time column and at "
-                               "least one value column")
-        elif len(fields) != width:
-            raise CliError(f"{path}:{lineno}: expected {width} fields, got "
-                           f"{len(fields)}")
-        try:
-            parsed = [float(f) for f in fields]
-        except ValueError as exc:
-            if first_data_line:
-                # A single leading non-numeric row is a column header.
-                first_data_line = False
+    with lines:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            raise CliError(f"{path}:{lineno}: {exc}") from exc
-        first_data_line = False
-        rows.append(parsed)
-    if len(rows) < 2:
+            fields = line.split(",")
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    raise CliError(f"{path}:{lineno}: need a time column and at "
+                                   "least one value column")
+            elif len(fields) != width:
+                raise CliError(f"{path}:{lineno}: expected {width} fields, got "
+                               f"{len(fields)}")
+            try:
+                parsed = [float(f) for f in fields]
+            except ValueError as exc:
+                if first_data_line:
+                    # A single leading non-numeric row is a column header.
+                    first_data_line = False
+                    continue
+                raise CliError(f"{path}:{lineno}: {exc}") from exc
+            first_data_line = False
+            values.extend(parsed)
+    if width is None or len(values) < 2 * width:
         raise CliError(f"{path}: fewer than 2 data rows")
 
-    data = np.array(rows)
+    data = np.frombuffer(values).reshape(-1, width)
     if not np.all(np.isfinite(data)):
         raise CliError(f"{path}: input contains NaN or Inf")
     t = data[:, 0]
@@ -182,14 +188,15 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
     }
 
 
-def _csv(header: str, rows, meta: dict | None = None) -> str:
-    """``# key=value`` lines, the header, then one line per row: floats
-    as ``F``, strings as they are. Rows are formatted one at a time, so
-    a lazy ``rows`` never holds a whole column of strings."""
-    lines = [f"# {key}={value}" for key, value in (meta or {}).items()]
-    lines.append(header)
-    lines.extend(",".join(v if isinstance(v, str) else F % v for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows, meta: dict | None = None):
+    """The lines of a CSV artifact, one at a time: ``# key=value`` lines,
+    the header, then one line per row, floats as ``F`` and strings as
+    they are. A lazy ``rows`` is never held as a whole column of strings."""
+    for key, value in (meta or {}).items():
+        yield f"# {key}={value}\n"
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(v if isinstance(v, str) else F % v for v in row) + "\n"
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
@@ -245,7 +252,8 @@ def run_decompose(args) -> int:
     if multivariate and bad:
         raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
 
-    artifacts: dict[str, str] = {}
+    # name -> lines; every input is computed and checked before a file is made
+    artifacts: dict[str, Iterable[str]] = {}
     artifacts["input.csv"] = _csv(
         ",".join(["time"] + [f"ch{j + 1}" for j in range(signal.n_channels)]),
         zip(signal.channels[0].times, *(ch.samples for ch in signal.channels)))
@@ -260,7 +268,7 @@ def run_decompose(args) -> int:
             payload["channels"] = reports
         else:
             payload.update(reports[0])
-        artifacts["report.json"] = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        artifacts["report.json"] = [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
 
     x, d = signal.channels[0], channels[0]
     if "spectrum" in outputs or "marginal" in outputs:
@@ -269,9 +277,9 @@ def run_decompose(args) -> int:
         h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
                              n_time_bins=args.time_bins)
         if "spectrum" in outputs:  # non-zero cells, frequency-major
-            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy", (
-                (f, t, e) for f, row in zip(h.freq_bins, h.energy)
-                for t, e in zip(h.time_bins[row != 0], row[row != 0])))
+            f, t, e = h.cells
+            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy",
+                                             zip(h.freq_bins[f], h.time_bins[t], e))
         if "marginal" in outputs:
             artifacts["marginal.csv"] = _csv("freq,energy", zip(h.freq_bins, h.marginal))
     if "significance" in outputs:
@@ -292,8 +300,9 @@ def run_decompose(args) -> int:
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out_dir / name).write_text(text)
+    for name, lines in artifacts.items():
+        with (out_dir / name).open("w") as file:
+            file.writelines(lines)
     print(f"wrote {', '.join(sorted(artifacts))} to {out_dir}")
     return 0
 
@@ -304,9 +313,9 @@ def run_decompose(args) -> int:
 
 def _read_meta(path: Path) -> dict[str, str]:
     """``# key=value`` comment lines of an emitted CSV."""
-    lines = path.read_text().splitlines()
-    return {k.strip(): v.strip() for k, _, v in
-            (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
+    with path.open() as lines:
+        return {k.strip(): v.strip() for k, _, v in
+                (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
 
 
 def _channel_checks(x: SampledSignal, d: Decomposition):

@@ -1,5 +1,5 @@
 """Hilbert spectral analysis: discrete analytic signal, instantaneous
-amplitude/phase/frequency, the time-frequency energy grid and its
+amplitude/phase/frequency, the time-frequency energy cells and their
 marginal.
 
 The analytic signal is built in the frequency domain (double the
@@ -67,10 +67,19 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
 class HilbertSpectrum:
     freq_bins: np.ndarray  # bin centers, Hz, ascending
     time_bins: np.ndarray  # bin centers, s
-    energy: np.ndarray  # [freq][time], accumulated squared amplitude
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]  # non-zero (freq_idx, time_idx, energy)
     marginal: np.ndarray  # per freq bin, time-integrated
     dt: float
     negative_if_samples: int  # IF samples clipped into bin 0
+
+    @property
+    def energy(self) -> np.ndarray:
+        """The dense [freq][time] grid of accumulated squared amplitude,
+        built on each access."""
+        f, t, e = self.cells
+        grid = np.zeros((self.freq_bins.size, self.time_bins.size))
+        grid[f, t] = e
+        return grid
 
 
 def hilbert_spectrum(
@@ -82,6 +91,11 @@ def hilbert_spectrum(
     Negative instantaneous frequencies are clipped into bin 0 and
     counted, so orderings that break the IMF property stay observable.
     With ``n_time_bins`` unset every sample is its own time column.
+
+    Each time column holds at most one cell per IMF, so only the
+    non-zero cells are kept, frequency-major. Each cell sums its
+    energies in (IMF, sample) order, and each marginal entry sums its
+    frequency row as a dense row: the bits of a dense grid build.
     """
     if not d.imfs:
         raise ValueError("decomposition has no IMFs")
@@ -99,22 +113,40 @@ def hilbert_spectrum(
     t_idx = np.minimum((np.arange(ref.n) // (ref.n / n_time_bins)).astype(int),
                        n_time_bins - 1)
 
-    grid = np.zeros((n_freq_bins, n_time_bins))
+    keys = np.empty((len(d.imfs), ref.n), dtype=int)  # cell of each (IMF, sample)
+    weights = np.empty((len(d.imfs), ref.n))
     clipped = 0
     with np.errstate(over="ignore"):  # energies past the float64 range are inf
-        for imf in d.imfs:
+        for i, imf in enumerate(d.imfs):
             attrs = analytic_signal(imf)
             f_idx = np.floor(attrs.inst_freq / f_width).astype(int)
             clipped += int(np.count_nonzero(f_idx < 0))
             f_idx = np.clip(f_idx, 0, n_freq_bins - 1)
-            np.add.at(grid, (f_idx, t_idx), attrs.amplitude**2)
-        marginal = grid.sum(axis=1) * ref.dt
-    return HilbertSpectrum(freq_bins, time_bins, grid, marginal, ref.dt, clipped)
+            keys[i] = f_idx * n_time_bins + t_idx
+            weights[i] = attrs.amplitude**2
+        cell_keys, inverse = np.unique(keys, return_inverse=True)
+        energy = np.bincount(inverse.ravel(), weights.ravel())
+        nonzero = energy != 0
+        f_cell, t_cell = np.divmod(cell_keys[nonzero], n_time_bins)
+        energy = energy[nonzero]
+        row_sums = np.zeros(n_freq_bins)
+        row = np.zeros(n_time_bins)
+        occupied, starts = np.unique(f_cell, return_index=True)
+        for f, t, e in zip(occupied, np.split(t_cell, starts[1:]), np.split(energy, starts[1:])):
+            row[t] = e
+            row_sums[f] = row.sum()
+            row[t] = 0.0
+        marginal = row_sums * ref.dt
+    return HilbertSpectrum(freq_bins, time_bins, (f_cell, t_cell, energy), marginal,
+                           ref.dt, clipped)
 
 
 def spectral_ridge(h: HilbertSpectrum) -> np.ndarray:
-    """Frequency of the strongest bin in each time column (NaN where a
-    column holds no energy)."""
-    ridge = h.freq_bins[np.argmax(h.energy, axis=0)].astype(float)
-    ridge[h.energy.sum(axis=0) == 0] = np.nan
+    """Frequency of the strongest bin in each time column, the lowest of
+    equals (NaN where a column holds no energy)."""
+    f, t, e = h.cells
+    order = np.lexsort((-e, t))  # stable: ties stay frequency-ascending
+    columns, first = np.unique(t[order], return_index=True)
+    ridge = np.full(h.time_bins.size, np.nan)
+    ridge[columns] = h.freq_bins[f[order[first]]]
     return ridge

@@ -195,10 +195,10 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.
     data = x.as_array()
     acc = np.zeros_like(data)
     used = 0
-    scale = float(np.max(np.abs(data)))
+    scale = float(np.abs(data).max())
     for d in dirs.directions:
         p = data @ d
-        if float(np.max(np.abs(p))) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
+        if float(np.abs(p).max()) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
             continue
         try:
             ext = detect_extrema(p)
@@ -230,7 +230,7 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
             if it == 0:
                 raise
             break
-        if float(np.max(np.abs(env))) <= ENVELOPE_RATIO_THRESHOLD * float(np.max(np.abs(mode))):
+        if float(np.abs(env).max()) <= ENVELOPE_RATIO_THRESHOLD * float(np.abs(mode).max()):
             break
         mode = mode - env
         work = x.from_array(mode)
@@ -257,10 +257,10 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     data = x.as_array()
     k = 0 if _below_normal(data) else _unit_exponent(data)
     np.ldexp(data, k, out=data)
-    floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.max(np.abs(data))), np.finfo(float).tiny)
+    floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.abs(data).max()), np.finfo(float).tiny)
 
     def extract(work):
-        if float(np.max(np.abs(work.as_array()))) <= floor:
+        if float(np.abs(work.as_array()).max()) <= floor:
             raise NoEnvelopeError("the residue is negligible or below the normal range")
         return _extract_one_multivariate_imf(work, dirs, cfg)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def fft_peak_hz(x: SampledSignal) -> float:
     spectrum[0] = 0.0
     freqs = np.fft.rfftfreq(x.n, x.dt)
     return float(freqs[int(np.argmax(spectrum))])
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak traced memory, in MiB, of ``fn(*args)`` above what is already
+    allocated."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

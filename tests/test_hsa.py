@@ -25,7 +25,7 @@ from emdkit import (
     hilbert_spectrum,
     spectral_ridge,
 )
-from conftest import sine
+from conftest import sine, traced_peak_mb
 
 
 def cos_signal(freq, rate, n):
@@ -175,6 +175,21 @@ class TestHilbertSpectrum:
             # keep this within a few percent.
             assert total == pytest.approx(2 * imf_energy, rel=0.05)
 
+    def test_no_dense_grid_allocated(self):
+        # A dense 256 x 16,384 float64 grid alone is 32 MiB; the build
+        # peaked at 34.4 MiB with one.
+        x = SampledSignal(np.random.default_rng(7).standard_normal(16384), 1000.0)
+        d = emd(x)
+        assert traced_peak_mb(hilbert_spectrum, d, 256) < 16
+
+    def test_cells_are_the_nonzero_grid_cells_frequency_major(self):
+        x = SampledSignal(np.random.default_rng(3).standard_normal(1000), 100.0)
+        h = hilbert_spectrum(emd(x), n_freq_bins=32, n_time_bins=300)
+        f, t, e = h.cells
+        grid = h.energy
+        assert np.array_equal(np.column_stack((f, t)), np.argwhere(grid != 0))
+        assert e.tobytes() == grid[grid != 0].tobytes()
+
     def test_negative_if_counted(self, rng):
         # A component violating the oscillatory-mode property produces
         # negative instantaneous frequencies that the grid must count.
@@ -256,6 +271,9 @@ class TestSpectrumMatchesDenseBuild:
         grid, marginal, ridge, spectrum_csv = _dense_build(d, n_freq, n_time)
         h = hilbert_spectrum(d, n_freq_bins=n_freq, n_time_bins=n_time)
         assert h.energy.tobytes() == grid.tobytes()
+        f, t, e = h.cells
+        assert np.array_equal(np.column_stack((f, t)), np.argwhere(grid != 0))
+        assert e.tobytes() == grid[grid != 0].tobytes()
         assert h.marginal.tobytes() == marginal.tobytes()
         assert spectral_ridge(h).tobytes() == ridge.tobytes()
 
