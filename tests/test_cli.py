@@ -218,17 +218,17 @@ class TestDecompose:
             assert (out / name).read_text() == text, name
 
     def test_artifacts_are_streamed(self, tmp_path, capsys):
-        # 16,384 rows, the spectrum outputs included. A dense spectrum grid
-        # and whole-string artifacts peaked at 58.9 MiB, whole-string
-        # artifacts alone at 25.5 MiB.
+        # 16,384 rows, four IMFs, the spectrum outputs included. A dense
+        # spectrum grid and whole-string artifacts peaked at 47.6 MiB,
+        # whole-string artifacts alone at 14.7 MiB.
         n = 16384
         v = np.random.default_rng(7).standard_normal(n)
         p = tmp_path / "in.csv"
         p.write_text("time,x\n" + "".join(f"{k / 1000.0!r},{x!r}\n"
                                           for k, x in enumerate(v.tolist())))
         argv = ["decompose", "--input", str(p), "--out", "imfs,report,spectrum,marginal",
-                "--output-dir", str(tmp_path / "out")]
-        assert traced_peak_mb(main, argv) < 20
+                "--max-imfs", "4", "--output-dir", str(tmp_path / "out")]
+        assert traced_peak_mb(main, argv) < 10
         assert capsys.readouterr().out.startswith("wrote imfs.csv, input.csv, marginal.csv")
 
     def test_memd_two_channels(self, tmp_path):
