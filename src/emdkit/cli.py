@@ -51,6 +51,9 @@ SCHEMA_VERSION = 1
 #: Printf format giving 17 significant digits (full float64 round trip).
 F = "%.17g"
 
+#: Rows of an artifact converted to Python scalars at a time.
+BLOCK = 4096
+
 
 class CliError(Exception):
     """Validation, parse or configuration error (exit code 1)."""
@@ -88,7 +91,7 @@ def read_signal_csv(path: Path) -> MultivariateSignal:
                 raise CliError(f"{path}:{lineno}: expected {width} fields, got "
                                f"{len(fields)}")
             try:
-                parsed = [float(f) for f in fields]
+                parsed = list(map(float, fields))
             except ValueError as exc:
                 if first_data_line:
                     # A single leading non-numeric row is a column header.
@@ -188,15 +191,39 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
     }
 
 
-def _csv(header: str, rows, meta: dict | None = None):
+def _csv(header: str, columns, meta: dict | None = None):
     """The lines of a CSV artifact, one at a time: ``# key=value`` lines,
-    the header, then one line per row, floats as ``F`` and strings as
-    they are. A lazy ``rows`` is never held as a whole column of strings."""
+    the header, then one line per row. Each row is formatted with one
+    format built from the first row, ``F`` for a number and ``%s`` for a
+    string. ``columns`` are equal-length arrays or sequences, read
+    ``BLOCK`` rows at a time, so no whole column of Python objects or
+    strings is ever held."""
     for key, value in (meta or {}).items():
         yield f"# {key}={value}\n"
     yield header + "\n"
-    for row in rows:
-        yield ",".join(v if isinstance(v, str) else F % v for v in row) + "\n"
+    n = len(columns[0]) if columns else 0
+    fmt = None
+    for s in range(0, n, BLOCK):
+        block = [c[s:s + BLOCK].tolist() if isinstance(c, np.ndarray) else c[s:s + BLOCK]
+                 for c in columns]
+        if fmt is None:
+            fmt = ",".join("%s" if isinstance(b[0], str) else F for b in block) + "\n"
+        yield from map(fmt.__mod__, zip(*block))
+
+
+class _Labels:
+    """The string column ``F % values[index]``, for a column with few
+    distinct values: each value is formatted once, not once per row."""
+
+    def __init__(self, values: np.ndarray, index: np.ndarray):
+        self.labels = [F % v for v in values.tolist()]
+        self.index = index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows: slice) -> list[str]:
+        return list(map(self.labels.__getitem__, self.index[rows].tolist()))
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
@@ -211,8 +238,7 @@ def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
     if multivariate:
         names = [f"{name}_ch{j}" for name in names for j in range(1, len(channels) + 1)]
         meta["channels"] = len(channels)
-    return (",".join(["time", *names]),
-            zip(comps[0].times, *(c.samples for c in comps)), meta)
+    return ",".join(["time", *names]), [comps[0].times, *(c.samples for c in comps)], meta
 
 
 def run_decompose(args) -> int:
@@ -256,7 +282,7 @@ def run_decompose(args) -> int:
     artifacts: dict[str, Iterable[str]] = {}
     artifacts["input.csv"] = _csv(
         ",".join(["time"] + [f"ch{j + 1}" for j in range(signal.n_channels)]),
-        zip(signal.channels[0].times, *(ch.samples for ch in signal.channels)))
+        [signal.channels[0].times, *(ch.samples for ch in signal.channels)])
 
     channels = _decompose(signal, args.algo, args.post, args.directions, scfg, ecfg)
     if "imfs" in outputs:
@@ -278,10 +304,11 @@ def run_decompose(args) -> int:
                              n_time_bins=args.time_bins)
         if "spectrum" in outputs:  # non-zero cells, frequency-major
             f, t, e = h.cells
-            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy",
-                                             zip(h.freq_bins[f], h.time_bins[t], e))
+            artifacts["spectrum.csv"] = _csv(
+                "freq_bin,time_bin,energy",
+                [_Labels(h.freq_bins, f), _Labels(h.time_bins, t), e])
         if "marginal" in outputs:
-            artifacts["marginal.csv"] = _csv("freq,energy", zip(h.freq_bins, h.marginal))
+            artifacts["marginal.csv"] = _csv("freq,energy", [h.freq_bins, h.marginal])
     if "significance" in outputs:
         band_variant = d.variant
         if band_variant in (Variant.EEMD, Variant.OIMF, Variant.FOUIMF):
@@ -290,13 +317,14 @@ def run_decompose(args) -> int:
                                 sample_rate=x.sample_rate, cfg=scfg)
         artifacts["significance.csv"] = _csv(
             "component,mean_period,energy_density,inside",
-            ((f"imf{i}", p.mean_period, p.energy_density,
-              "" if p.inside_bounds is None else str(p.inside_bounds).lower())
-             for i, p in enumerate(significance_test(d, band), start=1)))
+            list(zip(*((f"imf{i}", p.mean_period, p.energy_density,
+                        "" if p.inside_bounds is None else str(p.inside_bounds).lower())
+                       for i, p in enumerate(significance_test(d, band), start=1)))))
 
     if "sweep" in outputs:
         fs_list = list(range(args.fs_start, args.fs_stop + 1, args.fs_step))
-        artifacts["sweep.csv"] = _csv("fs,io_t_emd,io_t_epemd", sweep_io_t(fs_list, scfg))
+        artifacts["sweep.csv"] = _csv("fs,io_t_emd,io_t_epemd",
+                                    list(zip(*sweep_io_t(fs_list, scfg))))
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,11 +14,12 @@ from emdkit import (
     emd,
     generate,
     hilbert_spectrum,
+    orthogonal_variants,
     significance_test,
     sweep_io_t,
     white_noise_band,
 )
-from emdkit.cli import CliError, main, read_signal_csv
+from emdkit.cli import BLOCK, CliError, _csv, _Labels, main, read_signal_csv
 from conftest import sine, traced_peak_mb
 
 
@@ -111,6 +112,27 @@ class TestReadSignalCsv:
         sig = read_signal_csv(p)
         assert [c.samples.tobytes() for c in sig.channels] == [
             table[:, j].tobytes() for j in range(1, 15)]
+
+
+class TestArtifactWriter:
+    SPECIALS = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan,
+                         2.0**1000, 2.0**-1000, 0.1, -1 / 3])
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_rows_match_the_per_value_format(self, n):
+        rng = np.random.default_rng(n)
+        floats = np.resize(self.SPECIALS, n)
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        mixed = [float(v) if k % 2 else np.float64(v) for k, v in enumerate(wide)]
+        ints = np.arange(n) * 5 + 105
+        names = [f"imf{k}" for k in range(n)]
+        index = rng.integers(0, len(self.SPECIALS), n)
+        columns = [names, floats, ints, mixed, _Labels(self.SPECIALS, index), wide]
+        rows = zip(names, floats, ints, mixed, ("%.17g" % v for v in self.SPECIALS[index]),
+                   wide)
+        expected = ["# variant=EMD\n", "a,b,c,d,e,f\n"] + [",".join(
+            v if isinstance(v, str) else "%.17g" % v for v in row) + "\n" for row in rows]
+        assert list(_csv("a,b,c,d,e,f", columns, {"variant": "EMD"})) == expected
 
 
 class TestDecompose:
@@ -216,6 +238,30 @@ class TestDecompose:
         }
         for name, text in expected.items():
             assert (out / name).read_text() == text, name
+
+    def test_artifacts_at_scale_are_exact(self, tmp_path, capsys):
+        # 16,384 rows and ~10^5 spectrum cells: many blocks, and more than
+        # 256 distinct time bins.
+        n = 16384
+        v = np.random.default_rng(11).standard_normal(n)
+        p = tmp_path / "in.csv"
+        p.write_text("time,x\n" + "".join(f"{k / 1000.0!r},{x!r}\n"
+                                          for k, x in enumerate(v.tolist())))
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--post", "roimf",
+                     "--out", "imfs,spectrum", "--output-dir", str(out)]) == 0
+        d = orthogonal_variants(emd(read_signal_csv(p).channels[0]), Variant.ROIMF)
+        assert [c.samples.tobytes() for c in read_signal_csv(out / "imfs.csv").channels] \
+            == [c.samples.tobytes() for c in d.components]
+
+        h = hilbert_spectrum(d, n_freq_bins=256)
+        f, t, e = h.cells
+        assert len(e) > 4 * BLOCK and len(np.unique(t)) > 256
+        with (out / "spectrum.csv").open() as lines:
+            assert next(lines) == "freq_bin,time_bin,energy\n"
+            for line, fi, ti, ei in zip(lines, f.tolist(), t.tolist(), e.tolist(),
+                                        strict=True):
+                assert line == "%.17g,%.17g,%.17g\n" % (h.freq_bins[fi], h.time_bins[ti], ei)
 
     def test_artifacts_are_streamed(self, tmp_path, capsys):
         # 16,384 rows, four IMFs, the spectrum outputs included. A dense
