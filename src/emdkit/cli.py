@@ -17,8 +17,10 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from array import array
 from collections.abc import Iterable
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -63,20 +65,22 @@ class CliError(Exception):
 # CSV ingestion
 
 
-def read_signal_csv(path: Path) -> MultivariateSignal:
-    """Parse a time-plus-channels CSV into a multivariate signal.
-
-    The file is read line by line (``\\n``, ``\\r\\n`` or ``\\r`` ends a
-    line) into one flat float64 buffer."""
+def _open(path: Path):
     try:
-        lines = path.open()
+        return path.open()
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
+
+def _read_lines(path: Path) -> np.ndarray:
+    """The data rows of a CSV, parsed line by line (``\\n``, ``\\r\\n`` or
+    ``\\r`` ends a line) into one flat float64 buffer. Blank and ``#``
+    lines are skipped anywhere, and a bad row is reported with its line
+    number."""
     values = array("d")
     width = None
     first_data_line = True
-    with lines:
+    with _open(path) as lines:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -102,8 +106,53 @@ def read_signal_csv(path: Path) -> MultivariateSignal:
             values.extend(parsed)
     if width is None or len(values) < 2 * width:
         raise CliError(f"{path}: fewer than 2 data rows")
+    return np.frombuffer(values).reshape(-1, width)
 
-    data = np.frombuffer(values).reshape(-1, width)
+
+def _load_plain(lines) -> np.ndarray | None:
+    """The data rows of a plain CSV, parsed by numpy's C reader: leading
+    blank and ``#`` lines, an optional header, then at least two rows of
+    one width and nothing else. None for any other file, which the line
+    reader then reads, so the two agree on every value and error."""
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        return None
+    fields = line.split(",")
+    if len(fields) < 2:
+        return None
+    try:
+        list(map(float, fields))
+    except ValueError:  # a header, classified as the line reader does
+        rows = lines
+    else:
+        rows = chain([raw], lines)
+    try:
+        with warnings.catch_warnings():  # a header-only file holds no data
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(fields) or len(table) < 2:
+        return None
+    return table
+
+
+def _read_table(path: Path) -> np.ndarray:
+    """The data rows of a CSV. numpy's C reader parses a plain file; any
+    other (a mid-file comment or whitespace-only line, a value only
+    ``float()`` accepts, a malformed row) is read again by the line
+    reader, the only path that reports errors."""
+    with _open(path) as lines:
+        table = _load_plain(lines)
+    return _read_lines(path) if table is None else table
+
+
+def read_signal_csv(path: Path) -> MultivariateSignal:
+    """Parse a time-plus-channels CSV into a multivariate signal."""
+    data = _read_table(path)
     if not np.all(np.isfinite(data)):
         raise CliError(f"{path}: input contains NaN or Inf")
     t = data[:, 0]
@@ -329,8 +378,10 @@ def run_decompose(args) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, lines in artifacts.items():
+        lines = iter(lines)
         with (out_dir / name).open("w") as file:
-            file.writelines(lines)
+            while block := "".join(islice(lines, BLOCK)):
+                file.write(block)
     print(f"wrote {', '.join(sorted(artifacts))} to {out_dir}")
     return 0
 

@@ -23,6 +23,9 @@ from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 #: Width of a log-period pooling bin, in octaves.
 OCTAVES_PER_BIN = 1.0
 
+#: Fewest samples a component needs for its period statistics.
+MIN_LENGTH = 8
+
 
 @dataclass(frozen=True)
 class SignificancePoint:
@@ -42,7 +45,7 @@ class ConfidenceBand:
 
 def imf_statistics(imf: SampledSignal) -> SignificancePoint:
     """Mean period and mean energy density of one component."""
-    if imf.n < 8:
+    if imf.n < MIN_LENGTH:
         raise ValueError("component too short for period statistics")
     zc = zero_crossing_count(imf.samples)
     if zc == 0:
@@ -77,6 +80,9 @@ def white_noise_band(
     """
     if trials < 50:
         raise ValueError("need at least 50 trials")
+    if length < MIN_LENGTH:
+        raise ValueError(f"need a noise length of at least {MIN_LENGTH} samples, "
+                         f"got {length}")
     periods: list[float] = []
     energies: list[float] = []
     for trial in range(trials):

@@ -19,6 +19,7 @@ from emdkit import (
     sweep_io_t,
     white_noise_band,
 )
+from emdkit import cli
 from emdkit.cli import BLOCK, CliError, _csv, _Labels, main, read_signal_csv
 from conftest import sine, traced_peak_mb
 
@@ -100,6 +101,81 @@ class TestReadSignalCsv:
         with pytest.raises(CliError) as info:
             read_signal_csv(p)
         assert str(info.value) == f"{p}{message}"
+
+    # name -> (text, whether numpy's C reader parses it)
+    READER_CASES = {
+        "header": ("time,x\n0,1.5\n1,2.5\n2,-3\n", True),
+        "no-header": ("0,1.5\n1,2.5\n2,-3\n", True),
+        "crlf": ("# made by hand\r\ntime,x\r\n0,1.5\r\n1,2.5\r\n", True),
+        "cr": ("# made by hand\rtime,x\r0,1.5\r1,2.5\r", True),
+        "no-final-newline": ("time,x\n0,1.5\n1,2.5", True),
+        "leading-blank-and-comment": ("\n  \n# note\ntime,x\n0,1\n1,2\n", True),
+        "blank-between-rows": ("time,x\n0,1\n\n1,2\n2,3\n", True),
+        "whitespace-only-line": ("time,x\n0,1\n   \n1,2\n2,3\n", False),
+        "comment-between-rows": ("time,x\n0,1\n# note\n1,2\n2,3\n", False),
+        "trailing-comma": ("0,1,\n1,2,\n2,3,\n", False),
+        "quoted-field": ('time,x\n0,"1"\n1,2\n', False),
+        "underscore": ("0,1_0\n1,2\n", False),
+        "arabic-indic-digit": ("0,١\n1,2\n", False),
+        "padded-field": ("0, 1.5 \n1,2\n", True),
+        "nan-and-inf": ("0,nan\n1,-nan\n2,inf\n3,-inf\n", True),
+        "extremes": (f"0,5e-324\n1,{2.0**1000!r}\n2,{2.0**-1000!r}\n3,-0.0\n", True),
+        "header-wider-than-data": ("time,x,y\n0,1\n1,2\n", False),
+        "header-narrower-than-data": ("time,x\n0,1,2\n1,2,3\n", False),
+        "one-column": ("0\n1\n2\n", False),
+        "header-only": ("time,x\n", False),
+        "one-data-row": ("time,x\n0,1\n", False),
+        "empty": ("", False),
+    }
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            result = fn(*args)
+        except CliError as exc:
+            return "error", str(exc)
+        if isinstance(result, np.ndarray):
+            return result.dtype, result.shape, result.tobytes()
+        return [(c.samples.tobytes(), c.sample_rate, c.t0) for c in result.channels]
+
+    @pytest.mark.parametrize("name", READER_CASES)
+    def test_c_reader_agrees_with_the_line_reader(self, tmp_path, monkeypatch, name):
+        text, fast = self.READER_CASES[name]
+        p = tmp_path / "in.csv"
+        p.write_bytes(text.encode())
+        with p.open() as lines:
+            assert (cli._load_plain(lines) is not None) == fast
+        assert self.outcome(cli._read_table, p) == self.outcome(cli._read_lines, p)
+        new = self.outcome(read_signal_csv, p)
+        monkeypatch.setattr(cli, "_load_plain", lambda lines: None)
+        assert new == self.outcome(read_signal_csv, p)
+
+    def test_plain_files_take_the_c_reader(self, tmp_path, monkeypatch, capsys):
+        n = 16384
+        v = np.random.default_rng(3).standard_normal(n)
+        p = tmp_path / "in.csv"
+        p.write_text("time,x\n" + "".join(f"{k / 1000.0!r},{x!r}\n"
+                                          for k, x in enumerate(v.tolist())))
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--post", "roimf", "--out", "imfs",
+                     "--output-dir", str(out)]) == 0
+        header_only = tmp_path / "header-only.csv"
+        header_only.write_text("time,x\n")
+        capsys.readouterr()
+
+        def no_line_reader(path):
+            raise AssertionError(f"{path} was read line by line")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_lines", no_line_reader)
+            assert read_signal_csv(out / "input.csv").channels[0].samples.tobytes() \
+                == v.tobytes()
+            assert read_signal_csv(out / "imfs.csv").n_channels > 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decompose", "--input", str(header_only),
+                         "--output-dir", str(tmp_path / "none")]) == 1
+        assert capsys.readouterr().err == f"error: {header_only}: fewer than 2 data rows\n"
 
     def test_wide_file_is_read_without_per_value_objects(self, tmp_path):
         # 16,384 rows x 15 columns; the whole-text read peaked at 18.8 MiB.

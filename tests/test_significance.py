@@ -71,6 +71,20 @@ class TestWhiteNoiseBand:
         with pytest.raises(ValueError):
             white_noise_band(1024, trials=10)
 
+    @pytest.mark.parametrize("length", [2, 5, 7])
+    def test_too_short_rejected_before_any_trial(self, monkeypatch, length):
+        # imf_statistics needs 8 samples, so no trial below that can count.
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("emdkit.significance._decompose_variant", no_trial)
+        with pytest.raises(ValueError, match=f"at least 8 samples, got {length}$"):
+            white_noise_band(length, trials=50)
+
+    def test_shortest_length_accepted(self):
+        band = white_noise_band(8, trials=50)
+        assert band.noise_length == 8 and band.ensemble_size == 50
+
 
 class TestSignificanceTest:
     def test_noise_mostly_inside_own_band(self):
