@@ -66,14 +66,17 @@ def detect_extrema(x) -> ExtremaSet:
         raise InsufficientDataError("extrema detection needs at least 3 samples")
 
     # Collapse runs of equal values to one representative per run.
-    change = np.flatnonzero(v[1:] != v[:-1])
+    change = (v[1:] != v[:-1]).nonzero()[0]
     # Interior run j spans [change[j-1] + 1, change[j]].
     starts = change[:-1] + 1
-    centers = (starts + change[1:]) // 2
+    centers = (starts + change[1:]) >> 1
     rv = v[np.concatenate(([0], starts, [n - 1]))]
-    left, mid, right = rv[:-2], rv[1:-1], rv[2:]
-    is_max = (mid > left) & (mid > right)
-    is_min = (mid < left) & (mid < right)
+    # Neighbouring runs differ, so an interior run is a maximum where the
+    # record rises into it and falls out of it, a minimum where the reverse.
+    up = rv[1:] > rv[:-1]
+    is_max = (up[:-1] > up[1:]).nonzero()[0]
+    is_min = (up[:-1] < up[1:]).nonzero()[0]
+    mid = rv[1:-1]
     return ExtremaSet(centers[is_max], mid[is_max], centers[is_min], mid[is_min])
 
 
@@ -133,19 +136,20 @@ def _evaluate(t, y, h, m, idx, q) -> np.ndarray:
     return out
 
 
-def _natural_second_derivatives(h: np.ndarray, y: np.ndarray, split: int = 0) -> np.ndarray:
+def _natural_second_derivatives(h: np.ndarray, y: np.ndarray, starts=()) -> np.ndarray:
     """Second derivatives at the knots of a natural cubic spline with knot
     spacings ``h`` and values ``y``.
 
     The interior equations form a symmetric tridiagonal system, solved
     by LAPACK ``dgtsv`` (Gaussian elimination with partial pivoting).
-    With ``split`` > 0 the knots hold two splines, knots ``[0, split)``
-    and ``[split, y.size)``, and ``h[split - 1]`` is no spacing. Both are
-    solved in one block-diagonal system: the two rows of the inner end
-    knots become ``1 * m = 0`` and every coupling entry next to them is
-    0. Elimination then never pivots across a block and its multiplier
-    there is exactly 0, so each block gets the same arithmetic as when
-    solved alone.
+    With ``starts`` the knots hold one spline per block, each block
+    starting at a knot index in ``starts`` (the first at 0 implied) and
+    holding at least 3 knots; the ``h`` entry before each start is no
+    spacing. All blocks are solved in one block-diagonal system: the
+    rows of the inner end knots become ``1 * m = 0`` and every coupling
+    entry next to them is 0. Elimination then never pivots across a
+    block and its multiplier there is exactly 0, so each block gets the
+    same arithmetic as when solved alone.
     """
     m = np.zeros(y.size)
     if y.size == 2:
@@ -161,10 +165,10 @@ def _natural_second_derivatives(h: np.ndarray, y: np.ndarray, split: int = 0) ->
     # dgtsv overwrites all four arguments in place; the off-diagonals are
     # fresh copies so that ``h`` survives for the evaluation.
     dl = h[1:-1].copy()
-    if split:
-        diag[split - 2:split] = 1.0
-        rhs[split - 2:split] = 0.0
-        dl[split - 3:split] = 0.0
+    for s in starts:
+        diag[s - 2:s] = 1.0
+        rhs[s - 2:s] = 0.0
+        dl[s - 3:s] = 0.0
     _, _, _, m[1:-1], info = dgtsv(dl, diag, dl.copy(), rhs, overwrite_dl=1,
                                    overwrite_d=1, overwrite_du=1, overwrite_b=1)
     if info > 0:
@@ -239,29 +243,30 @@ def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
     return knots(lm, max_i, max_v, rm, max), knots(ln, min_i, min_v, rn, min)
 
 
-def _grid_pair(ui, uv, li, lv, n: int) -> np.ndarray:
-    """The natural splines through the upper knots ``ui``/``uv`` and the
-    lower knots ``li``/``lv`` on the sample grid 0...n-1, as one array of
-    2n values (upper, then lower): one block solve, one evaluation.
+def _grid_pair(ts, ys, n: int) -> np.ndarray:
+    """The natural splines through the knot blocks ``ts[i]``/``ys[i]``
+    (for envelopes: each row's upper, then lower knots) on the sample
+    grid 0...n-1, as one array of ``len(ts) * n`` values, block after
+    block: one block solve, one evaluation.
 
     The knots are whole numbers covering the grid, so the piece of each
     grid point follows from counting grid points per knot gap, with the
     point n-1 on a block's last piece, as a clamped search would place
     it.
     """
-    ku = ui.size
-    t = np.concatenate((ui, li))
-    y = np.concatenate((uv, lv))
+    t = np.concatenate(ts)
+    y = np.concatenate(ys)
+    ends = np.cumsum([b.size for b in ts]) - 1  # each block's last knot
     h = t[1:] - t[:-1]
-    m = _natural_second_derivatives(h, y, split=ku)
+    m = _natural_second_derivatives(h, y, (ends[:-1] + 1).tolist())
     c = t.astype(np.intp)
-    np.clip(c, 0, n, out=c)
-    c[ku - 1] = c[-1] = n
+    np.maximum(c, 0, out=c)
+    np.minimum(c, n, out=c)
+    c[ends] = n
     counts = c[1:] - c[:-1]
-    counts[ku - 1] = 0  # the gap between the blocks holds no grid point
-    grid = np.arange(n, dtype=float)
+    counts[ends[:-1]] = 0  # the gap between two blocks holds no grid point
     idx = np.repeat(np.arange(t.size - 1), counts)
-    return _evaluate(t, y, h, m, idx, np.concatenate((grid, grid)))
+    return _evaluate(t, y, h, m, idx, np.concatenate([np.arange(n, dtype=float)] * len(ts)))
 
 
 #: Peak |knot value| range with ample headroom for the envelope arithmetic:
@@ -270,17 +275,11 @@ def _grid_pair(ui, uv, li, lv, n: int) -> np.ndarray:
 _SAFE_PEAK = (2.0**-500, 2.0**500)
 
 
-def build_envelopes(x) -> EnvelopePair:
-    """Upper/lower natural-spline envelopes of the samples ``x`` and their mean.
-
-    Raises NoEnvelopeError when ``x`` is too short for extrema or has
-    fewer than two maxima or two minima; the caller then treats ``x`` as
-    the final residue. The envelopes may cross locally (real EMD
-    behavior), which is not an error. At any finite amplitude the result
-    is the envelope pair of ``x`` rescaled by a power of two, scaled
-    back: outside ``_SAFE_PEAK`` the build runs on such a copy.
-    """
-    v = _samples(x)
+def _envelope_knots(v: np.ndarray):
+    """The extrema of the finite samples ``v``, the abscissae and values
+    of their upper and lower knots, and the exponent k: outside
+    ``_SAFE_PEAK`` the values are scaled by 2**k into [0.5, 1). Raises
+    NoEnvelopeError as ``build_envelopes`` does."""
     if v.size < 3:
         raise NoEnvelopeError("envelopes need at least 3 samples")
     ext = detect_extrema(v)
@@ -297,11 +296,37 @@ def build_envelopes(x) -> EnvelopePair:
     k = 0 if _SAFE_PEAK[0] <= peak <= _SAFE_PEAK[1] else -math.frexp(peak)[1]
     if k:
         uv, lv = np.ldexp(uv, k), np.ldexp(lv, k)
-    pair = _grid_pair(ui, uv, li, lv, v.size)
-    upper, lower = pair[:v.size], pair[v.size:]
-    mean = (upper + lower) / 2.0
-    if k:
-        with np.errstate(over="ignore"):  # an envelope past the float64 range is inf
-            np.ldexp(pair, -k, out=pair)
-            np.ldexp(mean, -k, out=mean)
-    return EnvelopePair(upper, lower, mean, ext)
+    return ext, [ui, li], [uv, lv], k
+
+
+def _envelopes(knots: list, n: int):
+    """The envelopes on the grid 0...n-1 for each ``_envelope_knots``
+    result in ``knots``, from one block solve and one grid evaluation
+    for all of them: the (upper, lower) pairs and their means, each as
+    an array of rows."""
+    ts = [t for _, kt, _, _ in knots for t in kt]
+    ys = [y for _, _, ky, _ in knots for y in ky]
+    pairs = _grid_pair(ts, ys, n).reshape(-1, 2, n) if ts else np.empty((0, 2, n))
+    means = (pairs[:, 0] + pairs[:, 1]) / 2.0
+    for pair, mean, (*_, k) in zip(pairs, means, knots):
+        if k:
+            with np.errstate(over="ignore"):  # an envelope past the float64 range is inf
+                np.ldexp(pair, -k, out=pair)
+                np.ldexp(mean, -k, out=mean)
+    return pairs, means
+
+
+def build_envelopes(x) -> EnvelopePair:
+    """Upper/lower natural-spline envelopes of the samples ``x`` and their mean.
+
+    Raises NoEnvelopeError when ``x`` is too short for extrema or has
+    fewer than two maxima or two minima; the caller then treats ``x`` as
+    the final residue. The envelopes may cross locally (real EMD
+    behavior), which is not an error. At any finite amplitude the result
+    is the envelope pair of ``x`` rescaled by a power of two, scaled
+    back: outside ``_SAFE_PEAK`` the build runs on such a copy.
+    """
+    v = _samples(x)
+    knots = _envelope_knots(v)
+    pairs, means = _envelopes([knots], v.size)
+    return EnvelopePair(pairs[0, 0], pairs[0, 1], means[0], knots[0])

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
-from .emd import SiftConfig, _trial_rng, emd, zero_crossing_count
-from .epemd import epemd
+from .emd import SiftConfig, _emd_rows, _row_batches, _trial_rng, zero_crossing_count
+from .epemd import _epemd_rows
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
 #: Width of a log-period pooling bin, in octaves.
@@ -55,13 +55,15 @@ def imf_statistics(imf: SampledSignal) -> SignificancePoint:
     return SignificancePoint(mean_period, energy_density, None)
 
 
-def _decompose_variant(x: SampledSignal, decomposer: Variant, cfg: SiftConfig) -> Decomposition:
+def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
+                       sample_rate: float) -> list[Decomposition]:
+    """The decompositions of one lockstep batch of noise rows."""
     if decomposer is Variant.EMD:
-        return emd(x, cfg)
+        return _emd_rows(rows, cfg, sample_rate)
     if decomposer is Variant.EPEMD:
-        return epemd(x, cfg)
+        return _epemd_rows(rows, cfg, sample_rate)
     if decomposer in GRAM_SCHMIDT_VARIANTS:
-        return orthogonal_variants(emd(x, cfg), decomposer)
+        return [orthogonal_variants(d, decomposer) for d in _emd_rows(rows, cfg, sample_rate)]
     raise ValueError(f"unsupported decomposer {decomposer}")
 
 
@@ -85,16 +87,16 @@ def white_noise_band(
                          f"got {length}")
     periods: list[float] = []
     energies: list[float] = []
-    for trial in range(trials):
-        x = SampledSignal(_trial_rng(seed, trial).standard_normal(length), sample_rate)
-        d = _decompose_variant(x, decomposer, cfg)
-        for imf in d.imfs:
-            try:
-                pt = imf_statistics(imf)
-            except PeriodUndefinedError:
-                continue
-            periods.append(pt.mean_period)
-            energies.append(pt.energy_density)
+    for batch in _row_batches(trials, length):
+        rows = np.array([_trial_rng(seed, trial).standard_normal(length) for trial in batch])
+        for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
+            for imf in d.imfs:
+                try:
+                    pt = imf_statistics(imf)
+                except PeriodUndefinedError:
+                    continue
+                periods.append(pt.mean_period)
+                energies.append(pt.energy_density)
 
     log_p = np.log2(periods)
     e = np.array(energies)

@@ -32,6 +32,7 @@ from emdkit import (
     sweep_io_t,
     white_noise_band,
 )
+from emdkit.emd import _emd_rows
 from emdkit.siggen import MULTITONE4_FREQS
 from test_envelope import _dense_natural_spline
 
@@ -239,9 +240,11 @@ class TestHilbertOracle:
 
 @pytest.fixture(scope="module")
 def shared_emd():
-    """``emd`` memoized on (sample bytes, rate, config), and patched into
-    ``emdkit.significance``: the Gram-Schmidt noise tests post-process the
-    same 100 band-trial and 10 scored white-noise EMDs."""
+    """``emd`` memoized on (sample bytes, rate, config), and the lockstep
+    batch EMD that ``white_noise_band`` calls memoized on (row bytes,
+    config, rate) and patched into ``emdkit.significance``: the
+    Gram-Schmidt noise tests post-process the same 100 band-trial and 10
+    scored white-noise EMDs."""
     memo = {}
 
     def cached(x, cfg=SiftConfig()):
@@ -250,8 +253,14 @@ def shared_emd():
             memo[key] = emd(x, cfg)
         return memo[key]
 
+    def cached_rows(rows, cfg, sample_rate):
+        key = (rows.tobytes(), rows.shape, cfg, sample_rate)
+        if key not in memo:
+            memo[key] = _emd_rows(rows, cfg, sample_rate)
+        return memo[key]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("emdkit.significance.emd", cached)
+        mp.setattr("emdkit.significance._emd_rows", cached_rows)
         yield cached
 
 

@@ -295,7 +295,7 @@ class TestBuildEnvelopes:
             li, lv = knots(n, int(rng.integers(3, min(n, 12))))
             grid = np.arange(n, dtype=float)
             want = np.concatenate((cubic_spline(ui, uv, grid), cubic_spline(li, lv, grid)))
-            assert _grid_pair(ui, uv, li, lv, n).tobytes() == want.tobytes()
+            assert _grid_pair([ui, li], [uv, lv], n).tobytes() == want.tobytes()
 
     def test_end_rule_is_symmetric_in_time(self, rng):
         # Plateaus are left out on purpose: an even-length plateau centres
