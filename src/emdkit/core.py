@@ -41,6 +41,9 @@ class RankDeficiencyError(EmdkitError):
         self.index = index
         super().__init__(message or f"input {index} is linearly dependent on its predecessors")
 
+    def __reduce__(self):  # pickled by a forked noise-band worker
+        return type(self), (self.index, str(self))
+
 
 class PeriodUndefinedError(EmdkitError):
     """Component has no zero crossings, so its mean period is undefined."""

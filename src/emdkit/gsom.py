@@ -62,6 +62,7 @@ def gram_schmidt(inputs) -> GsomResult:
     y, exp = _unit_stack(*(sig.samples for sig in inputs))
     s = np.zeros_like(y)
     coeff = np.eye(m)
+    energy = []  # np.dot(s[i], s[i]) of each basis vector
     for k in range(m):
         v = y[k].copy()
         # Two projection passes keep orthogonality at roundoff level even
@@ -69,12 +70,13 @@ def gram_schmidt(inputs) -> GsomResult:
         # the unitriangular representation stays exact.
         for _ in range(2):
             for i in range(k):
-                c = np.dot(v, s[i]) / np.dot(s[i], s[i])
+                c = np.dot(v, s[i]) / energy[i]
                 v -= c * s[i]
                 coeff[k, i] += c
         if np.dot(v, v) <= DEPENDENCE_THRESHOLD * np.dot(y[k], y[k]):
             raise RankDeficiencyError(k)
         s[k] = v
+        energy.append(np.dot(s[k], s[k]))
 
     col_sums = coeff.sum(axis=0)
     components = tuple(ref.with_samples(np.ldexp(col_sums[i] * s[i], -exp)) for i in range(m))
@@ -113,9 +115,11 @@ def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
     energies = [float(np.dot(s, s)) for s in _unit_stack(*(c.samples for c in out))[0]]
     e_total = sum(energies)
     active = [i for i in order if energies[i] > 1e-24 * e_total]
-    result = gram_schmidt([out[i] for i in active])
-    for i, p in zip(active, result.orthogonal_components):
-        out[i] = p
+    # No active component (an OIMF of no IMFs, a centred constant): nothing to sweep.
+    if active:
+        result = gram_schmidt([out[i] for i in active])
+        for i, p in zip(active, result.orthogonal_components):
+            out[i] = p
     return Decomposition(out[:-1], out[-1], variant, dc)
 
 

@@ -10,6 +10,10 @@ energy falls inside the band are indistinguishable from white noise.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,6 +29,10 @@ OCTAVES_PER_BIN = 1.0
 
 #: Fewest samples a component needs for its period statistics.
 MIN_LENGTH = 8
+
+#: Longest noise trial shared out to forked workers: past it OpenBLAS runs
+#: ``np.dot`` on its own threads, and a forked band ran 2-3x slower.
+_FORK_MAX_LENGTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,66 @@ def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
     raise ValueError(f"unsupported decomposer {decomposer}")
 
 
+def _trial_points(trials: range, length: int, decomposer: Variant, seed: int,
+                  sample_rate: float, cfg: SiftConfig) -> list[tuple[float, float]]:
+    """(mean period, energy density) of each periodic component of ``trials``."""
+    points = []
+    for batch in _row_batches(len(trials), length):
+        rows = np.array([_trial_rng(seed, trials[i]).standard_normal(length) for i in batch])
+        for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
+            for imf in d.imfs:
+                try:
+                    pt = imf_statistics(imf)
+                except PeriodUndefinedError:
+                    continue
+                points.append((pt.mean_period, pt.energy_density))
+    return points
+
+
+def _pooled_points(trials: int, length: int, *args) -> list[tuple[float, float]]:
+    """``_trial_points`` of ``range(trials)`` in one contiguous share per CPU:
+    the first here, each other one in a forked child that pickles its points
+    back through a pipe. Rows come out bit for bit however they are batched.
+    Serial where fork is missing, unsafe (another thread runs) or does not pay."""
+    workers = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and length <= _FORK_MAX_LENGTH and threading.active_count() == 1):
+        workers = min(len(os.sched_getaffinity(0)), len(_row_batches(trials, length)))
+    shares = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # the child never returns
+                try:
+                    try:
+                        out = _trial_points(share, length, *args)
+                    except Exception as exc:
+                        out = exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r))
+        points = _trial_points(shares[0], length, *args)
+        for pid, r in children:
+            with open(r, "rb", closefd=False) as pipe:
+                try:
+                    out = pickle.load(pipe)
+                except EOFError:
+                    raise ChildProcessError(f"noise-band worker {pid} died") from None
+            if isinstance(out, Exception):
+                raise out
+            points += out
+        return points
+    finally:
+        for pid, r in children:  # stop any child whose points were not read
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def white_noise_band(
     length: int,
     decomposer: Variant = Variant.EMD,
@@ -85,21 +153,10 @@ def white_noise_band(
     if length < MIN_LENGTH:
         raise ValueError(f"need a noise length of at least {MIN_LENGTH} samples, "
                          f"got {length}")
-    periods: list[float] = []
-    energies: list[float] = []
-    for batch in _row_batches(trials, length):
-        rows = np.array([_trial_rng(seed, trial).standard_normal(length) for trial in batch])
-        for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
-            for imf in d.imfs:
-                try:
-                    pt = imf_statistics(imf)
-                except PeriodUndefinedError:
-                    continue
-                periods.append(pt.mean_period)
-                energies.append(pt.energy_density)
-
+    periods, energies = np.array(_pooled_points(trials, length, decomposer, seed, sample_rate,
+                                                 cfg)).reshape(-1, 2).T
     log_p = np.log2(periods)
-    e = np.array(energies)
+    e = energies
     lo_edge = np.floor(log_p.min())
     n_bins = int(np.ceil((log_p.max() - lo_edge) / OCTAVES_PER_BIN)) + 1
     grid, lower, upper = [], [], []

@@ -521,6 +521,18 @@ class TestErrors:
         assert capsys.readouterr().err == "error: spectrum output needs at least one IMF\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("post", ["oimf", "foimf", "roimf", "fouimf", "rouimf"])
+    def test_constant_input_post_passes_verify(self, tmp_path, capsys, post):
+        # No IMF, and a residue the uncorrelated variants centre to zero:
+        # no component is left for Gram-Schmidt to sweep.
+        p = tmp_path / "const.csv"
+        write_csv(p, [SampledSignal(np.full(64, 2.5), 64.0)])
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--post", post,
+                     "--output-dir", str(out)]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unknown_output(self, two_tone_csv, tmp_path):
         assert main(["decompose", "--input", str(two_tone_csv),
                      "--out", "bogus",

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ class TestGramSchmidt:
         with pytest.raises(ValueError):
             gram_schmidt([])
 
+    def test_rank_deficiency_pickles_as_raised(self):
+        # A forked noise-band worker sends its exception back pickled.
+        exc = pickle.loads(pickle.dumps(RankDeficiencyError(3)))
+        assert type(exc) is RankDeficiencyError and exc.index == 3
+        assert str(exc) == str(RankDeficiencyError(3))
+
 
 @pytest.fixture(scope="module")
 def decomp():
@@ -155,6 +162,21 @@ class TestOrthogonalVariants:
             res = gram_schmidt([base[i] for i in order])
             out_total = sum(p.samples for p in res.orthogonal_components)
             assert np.max(np.abs(out_total - total)) <= 1e-10 * np.max(np.abs(total))
+
+    @pytest.mark.parametrize("variant", [Variant.OIMF, Variant.FOIMF, Variant.ROIMF,
+                                         Variant.FOUIMF, Variant.ROUIMF])
+    @pytest.mark.parametrize("samples", [[0.3, -1.2, 0.7, 2.0], [2.5] * 64])
+    def test_no_active_component(self, variant, samples):
+        # No IMF for OIMF to sweep, or a constant the uncorrelated variants
+        # centre to zero: the components come back relabelled, not swept.
+        x = sig(samples, 8.0)
+        d = emd(x)
+        assert not d.imfs
+        out = orthogonal_variants(d, variant)
+        assert out.variant is variant and not out.imfs
+        centred = variant in (Variant.FOUIMF, Variant.ROUIMF)
+        assert out.dc_constant == (np.mean(samples) if centred else 0.0)
+        np.testing.assert_allclose(out.reconstruct().samples, x.samples, rtol=1e-15)
 
     def test_non_gsom_variant_rejected(self, decomp):
         _, d = decomp

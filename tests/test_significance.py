@@ -1,16 +1,24 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from emdkit import (
     ConfidenceBand,
     PeriodUndefinedError,
+    RankDeficiencyError,
     SampledSignal,
+    SiftConfig,
     Variant,
     emd,
     imf_statistics,
     significance_test,
     white_noise_band,
 )
+from emdkit.emd import _trial_rng
+from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
 from conftest import sine
 
 
@@ -84,6 +92,97 @@ class TestWhiteNoiseBand:
     def test_shortest_length_accepted(self):
         band = white_noise_band(8, trials=50)
         assert band.noise_length == 8 and band.ensemble_size == 50
+
+
+def _band_bytes(band):
+    return b"".join(a.tobytes() for a in (band.period_grid, band.lower_5th, band.upper_95th))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to the parent, in order."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _cpus(monkeypatch, k):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedBand:
+    # 50 trials at 512 samples make 4 lockstep batches of 16 rows, so up
+    # to 4 workers each get a share.
+
+    @pytest.mark.parametrize("decomposer", (Variant.EMD, Variant.EPEMD) + GRAM_SCHMIDT_VARIANTS)
+    def test_band_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, forks, decomposer):
+        bands = []
+        for k in (1, 2, 3):
+            _cpus(monkeypatch, k)
+            bands.append(_band_bytes(white_noise_band(512, decomposer, 50, seed=4,
+                                                      sample_rate=2.0)))
+        assert len(forks) == 0 + 1 + 2
+        assert bands[1] == bands[0] and bands[2] == bands[0]
+        _no_child_left()
+
+    @pytest.mark.parametrize("trial, error", [(49, RankDeficiencyError(7)),
+                                              (0, RankDeficiencyError(7)),
+                                              (0, KeyboardInterrupt())])
+    def test_failed_trial_raises_as_in_a_serial_run(self, monkeypatch, forks, trial, error):
+        # Trial 49 falls in the last share, trial 0 in this process's own.
+        # When this process fails first, the child stuck on trial 49 is
+        # stopped, not waited for.
+        def failing_rng(seed, t):
+            if t == trial:
+                raise error
+            if t == 49:
+                time.sleep(60)
+            return _trial_rng(seed, t)
+
+        monkeypatch.setattr("emdkit.significance._trial_rng", failing_rng)
+        raised = []
+        start = time.monotonic()
+        for k in (1, 2, 3):
+            _cpus(monkeypatch, k)
+            with pytest.raises(type(error)) as exc:
+                white_noise_band(512, Variant.EMD, 50)
+            raised.append((type(exc.value), str(exc.value)))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 3 and raised == [(type(error), str(error))] * 3
+        _no_child_left()
+
+    @pytest.mark.parametrize("length, trials, forked", [(10_000, 50, 1), (10_001, 50, 0),
+                                                         (128, 64, 0), (128, 65, 1)])
+    def test_forks_only_below_the_blas_threshold_and_past_one_batch(
+            self, monkeypatch, forks, length, trials, forked):
+        # At 128 samples a lockstep batch holds 64 rows.
+        _cpus(monkeypatch, 2)
+        white_noise_band(length, trials=trials, cfg=SiftConfig(max_imfs=1, max_sift_iterations=1))
+        assert len(forks) == forked
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
+        _cpus(monkeypatch, 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            white_noise_band(512, trials=50, cfg=SiftConfig(max_imfs=1))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []
 
 
 class TestSignificanceTest:
