@@ -3,6 +3,12 @@
 End effects are handled by mirror extension: the two extrema nearest each
 end of the record are reflected about the record boundary before spline
 fitting, so both envelopes are defined over the full record.
+
+``cubic_spline`` works in two halves: a layout (spacings, each query's
+piece and its weights), which depends only on the knot abscissae and
+the queries, then the solve and evaluation for the knot values. The last
+layout is memoised, so MEMD's channels, splined through the same knot
+instants on the same grid, compute it once.
 """
 
 from __future__ import annotations
@@ -80,8 +86,14 @@ def detect_extrema(x) -> ExtremaSet:
     return ExtremaSet(centers[is_max], mid[is_max], centers[is_min], mid[is_min])
 
 
+#: The last ``_layout``: one ``(key, layout)`` tuple, replaced whole in
+#: place (never rebound), so each caller reads one consistent entry.
+_LAYOUT_MEMO = [None]
+
+
 def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
-    """Natural cubic spline through the knots, evaluated at ``query_t``.
+    """Natural cubic spline through the knots, evaluated at ``query_t``
+    (any shape; the result has its shape).
 
     Second derivative is zero at both end knots; with two knots the
     spline degenerates to the straight line through them.
@@ -89,19 +101,64 @@ def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
     t = np.asarray(knots_t, dtype=float)
     y = np.asarray(knots_v, dtype=float)
     q = np.asarray(query_t, dtype=float)
-    if t.size < 2 or t.size != y.size:
-        raise InvalidKnotsError("need at least 2 knots with matching values")
+    if t.ndim != 1 or t.size < 2 or t.shape != y.shape:
+        raise InvalidKnotsError("need a 1-D array of at least 2 knots with matching values")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("knots must be finite")
+    h, idx, a, b, ca, cb, hi2 = _layout(t, q.reshape(-1))
+    m = _natural_second_derivatives(h, y)
+    # _evaluate's expression, in its order, with the layout's weights.
+    out = y[idx]
+    out *= a
+    w = y[1:][idx]
+    w *= b
+    out += w
+    w = m[idx]
+    np.multiply(ca, w, out=w)
+    v = m[1:][idx]
+    np.multiply(cb, v, out=v)
+    w += v
+    w *= hi2
+    w /= 6.0
+    out += w
+    return out.reshape(q.shape)
+
+
+def _layout(t: np.ndarray, q: np.ndarray):
+    """What a spline through abscissae ``t`` (finite) at the 1-D queries
+    ``q`` needs besides the knot values: spacings ``h``, each query's
+    piece ``idx`` and the weights ``a``, ``b``, ``a**3 - a``, ``b**3 - b``
+    and ``h[idx]**2`` of ``_evaluate``, as read-only arrays. The last
+    layout is memoised under the bytes of ``t`` and ``q``, so splining
+    several channels through the same knot instants computes it once."""
+    key = (t.tobytes(), q.tobytes())
+    memo = _LAYOUT_MEMO[0]
+    if memo is not None and memo[0] == key:
+        return memo[1]
     h = t[1:] - t[:-1]
     if np.any(h <= 0):
         raise InvalidKnotsError("knot abscissae must be strictly increasing")
-
-    m = _natural_second_derivatives(h, y)
     # Clamp so queries beyond the knot range use the end polynomial pieces.
     idx = np.searchsorted(t, q, side="right")
     idx -= 1
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, t.size - 2, out=idx)
-    return _evaluate(t, y, h, m, idx, q)
+    hi = h[idx]
+    a = t[1:][idx]
+    a -= q
+    a /= hi
+    b = q - t[idx]
+    b /= hi
+    ca = np.power(a, 3)
+    ca -= a
+    cb = np.power(b, 3)
+    cb -= b
+    hi *= hi
+    layout = (h, idx, a, b, ca, cb, hi)
+    for arr in layout:
+        arr.flags.writeable = False
+    _LAYOUT_MEMO[0] = (key, layout)
+    return layout
 
 
 def _evaluate(t, y, h, m, idx, q) -> np.ndarray:

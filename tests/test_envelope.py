@@ -9,6 +9,7 @@ from emdkit import (
     cubic_spline,
     detect_extrema,
 )
+from emdkit import envelope
 from conftest import sine
 
 
@@ -190,6 +191,177 @@ class TestCubicSpline:
             cubic_spline([1, 0], [1, 2], [0.5])
         with pytest.raises(InvalidKnotsError):
             cubic_spline([0], [1], [0.0])
+        with pytest.raises(InvalidKnotsError):
+            cubic_spline([[0, 1, 2]], [[0, 1, 0]], [0.5])
+        with pytest.raises(InvalidKnotsError):
+            cubic_spline([0, 1, 2], [[0, 1, 0]], [0.5])
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_rejects_non_finite_knots_at_every_count(self, k):
+        t, y = np.arange(k, dtype=float), np.ones(k)
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in (t, y):
+                for i in (0, k - 1):
+                    tt, yy = t.copy(), y.copy()
+                    (tt if which is t else yy)[i] = bad
+                    with pytest.raises(ValueError):
+                        cubic_spline(tt, yy, [0.5])
+
+    def test_query_of_any_shape(self):
+        t, y = [0, 1, 2], [0, 1, 0]
+        for q in (0.5, np.float64(0.5), [0.5], [[0.5], [1.5]], np.empty((0, 3))):
+            got = cubic_spline(t, y, q)
+            flat = np.asarray(q, dtype=float).reshape(-1)
+            assert got.shape == np.shape(q)
+            assert got.tobytes() == cubic_spline(t, y, flat).tobytes()
+        assert float(cubic_spline(t, y, 0.5)) == cubic_spline(t, y, [0.5])[0]
+
+
+def _memo_free(t, y, q):
+    """``cubic_spline`` from an empty layout memo: the reference."""
+    envelope._LAYOUT_MEMO[0] = None
+    return cubic_spline(t, y, q)
+
+
+def _knot_set(rng, k, n):
+    """``k`` strictly increasing whole-number abscissae spanning past the
+    grid 0...n-1, as MEMD's mirror-extended extrema do."""
+    inner = np.sort(rng.choice(np.arange(1, n - 1), k - 2, replace=False))
+    return np.concatenate(([-3.0], inner, [n + 2.0]))
+
+
+class TestSplineLayoutMemo:
+    """The layout memo behind ``cubic_spline`` changes no result byte."""
+
+    def _check(self, calls):
+        """Each ``(t, y, q)`` call, made in sequence through the memo,
+        against its memo-free result; the references come first."""
+        want = [_memo_free(t, y, q).tobytes() for t, y, q in calls]
+        for (t, y, q), w in zip(calls, want):
+            assert cubic_spline(t, y, q).tobytes() == w
+
+    def test_repeated_and_alternating_abscissae(self, rng):
+        q = np.arange(300, dtype=float)
+        sets = [_knot_set(rng, 40, 300) for _ in range(3)]
+        order = [0, 0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 1, 1, 0]
+        self._check([(sets[i], rng.standard_normal(40), q) for i in order])
+
+    def test_one_ulp_nudge(self, rng):
+        q = np.arange(200, dtype=float) + 0.25
+        t = _knot_set(rng, 30, 200)
+        y = rng.standard_normal(30)
+        # The first knot is left out: 1 ulp of -3 is lost in its spacing.
+        for i in (7, 15, 29):
+            for direction in (-np.inf, np.inf):
+                nudged = t.copy()
+                nudged[i] = np.nextafter(t[i], direction)
+                assert _memo_free(nudged, y, q).tobytes() != _memo_free(t, y, q).tobytes()
+                self._check([(t, y, q), (nudged, y, q), (t, y, q)])
+
+    def test_signed_zero_knot(self):
+        # The knot at 0.0 or -0.0 gives a query at -0.0 a result of the
+        # same sign, so equal-comparing keys would mix the two up.
+        t = np.array([-2.0, 0.0, 1.0, 2.0])
+        y = np.array([-1.0, -0.0, -0.0, -1.0])
+        q = np.array([-0.0, 0.0, 0.5, -0.5])
+        negative = t.copy()
+        negative[1] = -0.0
+        assert _memo_free(t, y, q).tobytes() != _memo_free(negative, y, q).tobytes()
+        self._check([(t, y, q), (negative, y, q), (t, y, q), (negative, y, q)])
+
+    def test_shorter_and_shifted_queries(self, rng):
+        t = _knot_set(rng, 25, 150)
+        y = rng.standard_normal(25)
+        grid = np.arange(150, dtype=float)
+        queries = [grid, grid[:-1], grid[1:], grid + 0.5, grid, grid[:1], grid[:0], grid]
+        self._check([(t, y, q) for q in queries])
+
+    def test_same_query_other_knots(self, rng):
+        q = np.arange(128, dtype=float)
+        y = rng.standard_normal(20)
+        self._check([(_knot_set(rng, 20, 128), y, q) for _ in range(6)])
+
+    def test_caller_mutates_its_arrays_in_place(self, rng):
+        t = _knot_set(rng, 20, 100)
+        y = rng.standard_normal(20)
+        q = np.arange(100, dtype=float)
+        first = _memo_free(t, y, q)
+        assert cubic_spline(t, y, q).tobytes() == first.tobytes()
+        t[5] += 0.5
+        want = _memo_free(t, y, q).tobytes()
+        t[5] -= 0.5
+        cubic_spline(t, y, q)
+        t[5] += 0.5
+        assert cubic_spline(t, y, q).tobytes() == want
+        q += 0.25
+        want = _memo_free(t, y, q).tobytes()
+        q -= 0.25
+        cubic_spline(t, y, q)
+        q += 0.25
+        assert cubic_spline(t, y, q).tobytes() == want
+
+    def test_non_increasing_knots_raise_on_every_call(self, rng):
+        q = np.arange(100, dtype=float)
+        t = _knot_set(rng, 20, 100)
+        y = rng.standard_normal(20)
+        for bad_at in (1, 10, 19):
+            bad = t.copy()
+            bad[bad_at] = bad[bad_at - 1]
+            cubic_spline(t, y, q)
+            for _ in range(3):
+                with pytest.raises(InvalidKnotsError):
+                    cubic_spline(bad, y, q)
+            assert cubic_spline(t, y, q).tobytes() == _memo_free(t, y, q).tobytes()
+
+    def test_stored_layout_is_private_and_read_only(self, rng):
+        t = _knot_set(rng, 20, 100)
+        y = rng.standard_normal(20)
+        q = np.arange(100, dtype=float)
+        out = _memo_free(t, y, q)
+        key, layout = envelope._LAYOUT_MEMO[0]
+        assert key == (t.tobytes(), q.tobytes())
+        for arr in layout:
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, a) for a in (t, y, q, out))
+        out[:] = 7.0
+        assert cubic_spline(t, y, q).tobytes() == _memo_free(t, y, q).tobytes()
+
+    def test_threads_match_serial_bytes(self, rng):
+        # More threads than cores, switching every microsecond, all
+        # replacing the one memo entry with their own knot sets.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        q = np.arange(512, dtype=float)
+        jobs = [(_knot_set(rng, 60, 512), rng.standard_normal((40, 60))) for _ in range(8)]
+
+        def run(job):
+            t, ys = job
+            return [cubic_spline(t, y, q).tobytes() for y in ys]
+
+        want = [[_memo_free(t, y, q).tobytes() for y in ys] for t, ys in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(run, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_multivariate_mean_envelope_matches_memo_free(self, monkeypatch):
+        import sys
+
+        from emdkit import SignalKind, SignalSpec, generate_multitone4
+
+        memd_module = sys.modules["emdkit.memd"]  # ``emdkit.memd`` is the function
+
+        x = generate_multitone4(SignalSpec(SignalKind.MULTITONE4, sample_rate=256.0,
+                                           duration=4.0, seed=3))
+        dirs = memd_module.hammersley_directions(4, 64)
+        got = memd_module.multivariate_mean_envelope(x, dirs)
+        monkeypatch.setattr(memd_module, "cubic_spline", _memo_free)
+        assert got.tobytes() == memd_module.multivariate_mean_envelope(x, dirs).tobytes()
 
 
 class TestBuildEnvelopes:
