@@ -7,8 +7,10 @@ from the time column and must be uniform within 1e-9 relative jitter.
 All floats are emitted with 17 significant digits so that reruns with a
 fixed seed are byte-identical.
 
-Exit codes: 0 ok, 1 validation/config/parse error, 2 numerical failure
-(rank deficiency), 3 I/O error.
+Exit codes: 0 ok, 1 validation/config/parse error (a malformed flag
+included), 2 numerical failure (rank deficiency), 3 I/O error. A failure
+prints one line to stderr; a parse, validation or numerical one creates
+no output directory.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import warnings
 from array import array
 from collections.abc import Iterable
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -194,28 +196,22 @@ def generate_preset(name: str, seed: int) -> MultivariateSignal:
 # Pipeline
 
 POST_VARIANTS = {v.value.lower(): v for v in GRAM_SCHMIDT_VARIANTS}
+
+#: ``--algo`` name -> (signal, directions, SiftConfig, EemdConfig) -> one
+#: decomposition per channel. Each entry looks its function up by name when
+#: called, so a replaced module attribute (a tracer, a memo) is the one used.
+ALGORITHMS = {
+    "emd": lambda s, K, scfg, ecfg: (emd(s.channels[0], scfg),),
+    "eemd": lambda s, K, scfg, ecfg: (eemd(s.channels[0], scfg, ecfg),),
+    "memd": lambda s, K, scfg, ecfg: memd(s, K, scfg).channels,
+    "epemd": lambda s, K, scfg, ecfg: (epemd(s.channels[0], scfg),),
+    "epmemd": lambda s, K, scfg, ecfg: epmemd(s, K, scfg).channels,
+}
 MULTIVARIATE_ALGOS = ("memd", "epmemd")
+#: The energy-preserving algorithms, which take no ``--post``.
+ENERGY_PRESERVING_ALGOS = ("epemd", "epmemd")
 
 OUTPUTS = ("imfs", "report", "spectrum", "marginal", "significance", "sweep")
-
-
-def _decompose(signal: MultivariateSignal, algo: str, post: str | None, K: int,
-               scfg: SiftConfig, ecfg: EemdConfig) -> tuple[Decomposition, ...]:
-    """One decomposition per channel; a univariate algorithm gives one."""
-    x = signal.channels[0]
-    if algo == "memd":
-        channels = memd(signal, K, scfg).channels
-    elif algo == "epmemd":
-        channels = epmemd(signal, K, scfg).channels
-    elif algo == "emd":
-        channels = (emd(x, scfg),)
-    elif algo == "eemd":
-        channels = (eemd(x, scfg, ecfg),)
-    else:
-        channels = (epemd(x, scfg),)
-    if post is not None:
-        channels = tuple(orthogonal_variants(d, POST_VARIANTS[post]) for d in channels)
-    return channels
 
 
 def _energy(e) -> float | None:
@@ -241,15 +237,12 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
 
 
 def _csv(header: str, columns, meta: dict | None = None):
-    """The lines of a CSV artifact, one at a time: ``# key=value`` lines,
-    the header, then one line per row. Each row is formatted with one
-    format built from the first row, ``F`` for a number and ``%s`` for a
-    string. ``columns`` are equal-length arrays or sequences, read
-    ``BLOCK`` rows at a time, so no whole column of Python objects or
-    strings is ever held."""
-    for key, value in (meta or {}).items():
-        yield f"# {key}={value}\n"
-    yield header + "\n"
+    """A CSV artifact as one string per block: the ``# key=value`` lines
+    and the header, then ``BLOCK`` rows at a time. Each row is formatted
+    with one format built from the first row, ``F`` for a number and
+    ``%s`` for a string. ``columns`` are equal-length arrays (object
+    arrays for strings) or sequences."""
+    yield "".join(f"# {key}={value}\n" for key, value in (meta or {}).items()) + header + "\n"
     n = len(columns[0]) if columns else 0
     fmt = None
     for s in range(0, n, BLOCK):
@@ -257,22 +250,7 @@ def _csv(header: str, columns, meta: dict | None = None):
                  for c in columns]
         if fmt is None:
             fmt = ",".join("%s" if isinstance(b[0], str) else F for b in block) + "\n"
-        yield from map(fmt.__mod__, zip(*block))
-
-
-class _Labels:
-    """The string column ``F % values[index]``, for a column with few
-    distinct values: each value is formatted once, not once per row."""
-
-    def __init__(self, values: np.ndarray, index: np.ndarray):
-        self.labels = [F % v for v in values.tolist()]
-        self.index = index
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, rows: slice) -> list[str]:
-        return list(map(self.labels.__getitem__, self.index[rows].tolist()))
+        yield "".join(map(fmt.__mod__, zip(*block)))
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
@@ -320,20 +298,22 @@ def run_decompose(args) -> int:
     if not multivariate and signal.n_channels != 1:
         raise CliError(f"--algo {args.algo} is univariate but the input has "
                        f"{signal.n_channels} channels (use memd/epmemd)")
-    if args.post is not None and args.algo in ("epemd", "epmemd"):
+    if args.post is not None and args.algo in ENERGY_PRESERVING_ALGOS:
         raise CliError("--post applies to emd/eemd/memd output, not the "
                        "energy-preserving algorithms")
     bad = set(outputs) - {"imfs", "report"}
     if multivariate and bad:
         raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
 
-    # name -> lines; every input is computed and checked before a file is made
+    # name -> blocks; every input is computed and checked before a file is made
     artifacts: dict[str, Iterable[str]] = {}
     artifacts["input.csv"] = _csv(
         ",".join(["time"] + [f"ch{j + 1}" for j in range(signal.n_channels)]),
         [signal.channels[0].times, *(ch.samples for ch in signal.channels)])
 
-    channels = _decompose(signal, args.algo, args.post, args.directions, scfg, ecfg)
+    channels = ALGORITHMS[args.algo](signal, args.directions, scfg, ecfg)
+    if args.post is not None:
+        channels = tuple(orthogonal_variants(d, POST_VARIANTS[args.post]) for d in channels)
     if "imfs" in outputs:
         artifacts["imfs.csv"] = _csv(*_component_table(channels, multivariate))
     if "report" in outputs:
@@ -352,10 +332,10 @@ def run_decompose(args) -> int:
         h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
                              n_time_bins=args.time_bins)
         if "spectrum" in outputs:  # non-zero cells, frequency-major
-            f, t, e = h.cells
-            artifacts["spectrum.csv"] = _csv(
-                "freq_bin,time_bin,energy",
-                [_Labels(h.freq_bins, f), _Labels(h.time_bins, t), e])
+            f, t, e = h.cells  # each bin label formatted once, not once per cell
+            freq, time = (np.array([F % v for v in bins.tolist()], dtype=object)
+                          for bins in (h.freq_bins, h.time_bins))
+            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy", [freq[f], time[t], e])
         if "marginal" in outputs:
             artifacts["marginal.csv"] = _csv("freq,energy", [h.freq_bins, h.marginal])
     if "significance" in outputs:
@@ -377,11 +357,9 @@ def run_decompose(args) -> int:
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, lines in artifacts.items():
-        lines = iter(lines)
+    for name, blocks in artifacts.items():
         with (out_dir / name).open("w") as file:
-            while block := "".join(islice(lines, BLOCK)):
-                file.write(block)
+            file.writelines(blocks)
     print(f"wrote {', '.join(sorted(artifacts))} to {out_dir}")
     return 0
 
@@ -453,15 +431,21 @@ def run_verify(args) -> int:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``CliError`` (exit 1)."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="emdkit")
+    parser = _Parser(prog="emdkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     dec = sub.add_parser("decompose", help="decompose a signal and emit artifacts")
     dec.add_argument("--input", help="input CSV (time column + channels)")
     dec.add_argument("--gen", help=f"generator preset: {', '.join(GEN_PRESETS)}")
-    dec.add_argument("--algo", default="emd",
-                     choices=["emd", "eemd", "memd", "epemd", "epmemd"])
+    dec.add_argument("--algo", default="emd", choices=list(ALGORITHMS))
     dec.add_argument("--post", choices=sorted(POST_VARIANTS))
     dec.add_argument("--out", action="append", default=[],
                      help="comma-separated outputs: " + ", ".join(OUTPUTS))
@@ -489,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

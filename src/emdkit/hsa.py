@@ -72,15 +72,6 @@ class HilbertSpectrum:
     dt: float
     negative_if_samples: int  # IF samples clipped into bin 0
 
-    @property
-    def energy(self) -> np.ndarray:
-        """The dense [freq][time] grid of accumulated squared amplitude,
-        built on each access."""
-        f, t, e = self.cells
-        grid = np.zeros((self.freq_bins.size, self.time_bins.size))
-        grid[f, t] = e
-        return grid
-
 
 def hilbert_spectrum(
     d: Decomposition, n_freq_bins: int = 256, n_time_bins: int | None = None

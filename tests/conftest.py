@@ -33,6 +33,15 @@ def traced_peak_mb(fn, *args) -> float:
         tracemalloc.stop()
 
 
+def dense_grid(h) -> np.ndarray:
+    """The [freq][time] grid of a Hilbert spectrum's non-zero cells, zero
+    elsewhere."""
+    f, t, e = h.cells
+    grid = np.zeros((h.freq_bins.size, h.time_bins.size))
+    grid[f, t] = e
+    return grid
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

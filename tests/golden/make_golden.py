@@ -29,23 +29,30 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent.parent / "src"))
 
-from emdkit.cli import GEN_PRESETS, POST_VARIANTS, main  # noqa: E402
+from emdkit.cli import (  # noqa: E402
+    ALGORITHMS,
+    ENERGY_PRESERVING_ALGOS,
+    GEN_PRESETS,
+    MULTIVARIATE_ALGOS,
+    POST_VARIANTS,
+    generate_preset,
+    main,
+)
 
 DIGESTS = HERE / "digests.json"
-ALGOS = ("emd", "eemd", "epemd", "memd", "epmemd")
-MULTIVARIATE_PRESETS = ("multitone4",)
 COMMON = ["--seed", "7", "--ensemble-size", "4", "--out", "imfs,report"]
 
 
 def cases() -> dict[str, list[str]]:
-    """Case id -> decompose arguments, for every accepted combination."""
+    """Case id -> decompose arguments, for every combination the command
+    line accepts, read from its own tables."""
     out = {}
     for preset in GEN_PRESETS:
-        multivariate = preset in MULTIVARIATE_PRESETS
-        for algo in ALGOS:
-            if multivariate and algo not in ("memd", "epmemd"):
+        multivariate = generate_preset(preset, 7).n_channels > 1
+        for algo in ALGORITHMS:
+            if multivariate and algo not in MULTIVARIATE_ALGOS:
                 continue
-            posts = (None,) if algo.startswith("ep") else (None, *sorted(POST_VARIANTS))
+            posts = (None,) if algo in ENERGY_PRESERVING_ALGOS else (None, *sorted(POST_VARIANTS))
             for post in posts:
                 argv = ["--gen", preset, "--algo", algo, *COMMON]
                 argv += ["--directions", "8", "--max-imfs", "3"] if multivariate else ["--directions", "16"]

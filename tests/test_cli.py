@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from emdkit import (
+    RankDeficiencyError,
     SampledSignal,
     SignalKind,
     SignalSpec,
@@ -20,8 +21,8 @@ from emdkit import (
     white_noise_band,
 )
 from emdkit import cli
-from emdkit.cli import BLOCK, CliError, _csv, _Labels, main, read_signal_csv
-from conftest import sine, traced_peak_mb
+from emdkit.cli import BLOCK, CliError, _csv, main, read_signal_csv
+from conftest import dense_grid, sine, traced_peak_mb
 
 
 def write_csv(path, signals, header=True):
@@ -203,12 +204,17 @@ class TestArtifactWriter:
         ints = np.arange(n) * 5 + 105
         names = [f"imf{k}" for k in range(n)]
         index = rng.integers(0, len(self.SPECIALS), n)
-        columns = [names, floats, ints, mixed, _Labels(self.SPECIALS, index), wide]
+        labels = np.array(["%.17g" % v for v in self.SPECIALS.tolist()], dtype=object)
+        columns = [names, floats, ints, mixed, labels[index], wide]
         rows = zip(names, floats, ints, mixed, ("%.17g" % v for v in self.SPECIALS[index]),
                    wide)
-        expected = ["# variant=EMD\n", "a,b,c,d,e,f\n"] + [",".join(
-            v if isinstance(v, str) else "%.17g" % v for v in row) + "\n" for row in rows]
-        assert list(_csv("a,b,c,d,e,f", columns, {"variant": "EMD"})) == expected
+        expected = "# variant=EMD\na,b,c,d,e,f\n" + "".join(",".join(
+            v if isinstance(v, str) else "%.17g" % v for v in row) + "\n" for row in rows)
+        blocks = list(_csv("a,b,c,d,e,f", columns, {"variant": "EMD"}))
+        # The meta and header lines, then one string per BLOCK rows.
+        assert [b.count("\n") for b in blocks] == [2] + [
+            min(BLOCK, n - s) for s in range(0, n, BLOCK)]
+        assert "".join(blocks) == expected
 
 
 class TestDecompose:
@@ -298,14 +304,15 @@ class TestDecompose:
         x = generate(SignalSpec(SignalKind.AM, seed=3))
         d = emd(x)
         h = hilbert_spectrum(d, n_freq_bins=16, n_time_bins=64)
+        grid = dense_grid(h)
         band = white_noise_band(x.n, Variant.EMD, trials=100, seed=3,
                                 sample_rate=x.sample_rate)
         inside = {None: "", True: "true", False: "false"}
         expected = {
             "input.csv": table("time,ch1", zip(x.times, x.samples)),
             "spectrum.csv": table("freq_bin,time_bin,energy", (
-                (h.freq_bins[fi], h.time_bins[ti], h.energy[fi, ti])
-                for fi, ti in np.argwhere(h.energy != 0))),
+                (h.freq_bins[fi], h.time_bins[ti], grid[fi, ti])
+                for fi, ti in np.argwhere(grid != 0))),
             "marginal.csv": table("freq,energy", zip(h.freq_bins, h.marginal)),
             "significance.csv": table("component,mean_period,energy_density,inside", (
                 (f"imf{i}", p.mean_period, p.energy_density, inside[p.inside_bounds])
@@ -366,6 +373,53 @@ class TestDecompose:
         rep = json.loads((out / "report.json").read_text())
         assert len(rep["channels"]) == 2
         assert main(["verify", str(out)]) == 0
+
+    @pytest.mark.parametrize("algo, flags", [
+        ("emd", ["--gen", "am"]),
+        ("eemd", ["--gen", "am", "--ensemble-size", "4"]),
+        ("epemd", ["--gen", "am"]),
+        ("memd", ["--gen", "multitone4", "--directions", "8", "--max-imfs", "1"]),
+        ("epmemd", ["--gen", "multitone4", "--directions", "8", "--max-imfs", "1"]),
+    ])
+    def test_algorithm_looked_up_when_called(self, tmp_path, monkeypatch, algo, flags):
+        # A replaced module attribute (a tracer, a memo) is the one called.
+        calls = []
+        original = getattr(cli, algo)
+
+        def recorder(*args):
+            calls.append(algo)
+            return original(*args)
+
+        monkeypatch.setattr(cli, algo, recorder)
+        assert main(["decompose", *flags, "--algo", algo, "--out", "imfs",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert calls == [algo]
+
+    @pytest.mark.parametrize("flags, variant", [
+        (["--algo", "eemd", "--ensemble-size", "4"], Variant.EMD),
+        (["--post", "oimf"], Variant.EMD),
+        (["--post", "fouimf"], Variant.EMD),
+        ([], Variant.EMD),
+        (["--algo", "epemd"], Variant.EPEMD),
+        (["--post", "foimf"], Variant.FOIMF),
+        (["--post", "roimf"], Variant.ROIMF),
+        (["--post", "rouimf"], Variant.ROUIMF),
+    ])
+    def test_significance_band_variant(self, tmp_path, monkeypatch, flags, variant):
+        # EEMD, OIMF and FOUIMF are tested against the EMD band; any other
+        # decomposition against a band of its own variant.
+        seen = []
+
+        def recorder(length, decomposer, *args, **kwargs):
+            seen.append(decomposer)
+            return white_noise_band(length, decomposer, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "white_noise_band", recorder)
+        p = tmp_path / "in.csv"
+        write_csv(p, [sine(4.0, 64.0, 2.0) + sine(16.0, 64.0, 2.0)])
+        assert main(["decompose", "--input", str(p), *flags, "--out", "significance",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert seen == [variant]
 
 
 class TestErrors:
@@ -445,6 +499,40 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--gen", "am", "--algo", "foo"],
+        ["decompose", "--gen", "am", "--max-imfs", "abc"],
+        ["decompose", "--gen", "am", "--post", "xyz"],
+        [],
+        ["bogus"],
+    ])
+    def test_malformed_flags(self, tmp_path, monkeypatch, capsys, argv):
+        # A parse error is an error like any other: exit 1 (no SystemExit),
+        # one line on stderr, and no output directory.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--help"])
+        assert exc.value.code == 0
+        assert "--algo {emd,eemd,memd,epemd,epmemd}" in capsys.readouterr().out
+
+    def test_rank_deficiency_exits_2(self, two_tone_csv, tmp_path, monkeypatch, capsys):
+        def deficient(*args):
+            raise RankDeficiencyError(3)
+
+        monkeypatch.setattr(cli, "orthogonal_variants", deficient)
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(two_tone_csv), "--post", "roimf",
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_all_zero_signal(self, tmp_path, capsys):
         p = tmp_path / "zero.csv"
