@@ -1,5 +1,6 @@
-"""Layer micro-benchmarks: the spline and envelope routines at the sizes
-the benchmark workloads use them.
+"""Layer micro-benchmarks: extrema detection, the spline and envelope
+routines, one sift and a whole EMD, at the sizes the benchmark workloads
+use them and, for the univariate layers, at 16,384 samples too.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # each case once
@@ -12,12 +13,17 @@ import numpy as np
 import pytest
 
 from emdkit import (
+    SampledSignal,
     SignalKind,
     SignalSpec,
+    build_envelopes,
     cubic_spline,
+    detect_extrema,
+    emd,
     generate_multitone4,
     hammersley_directions,
     multivariate_mean_envelope,
+    sift_one_imf,
 )
 from emdkit.envelope import _LAYOUT_MEMO, _envelope_knots, _grid_pair
 
@@ -66,3 +72,43 @@ def test_multivariate_mean_envelope(benchmark):
                                        duration=4.0, seed=3))
     dirs = hammersley_directions(4, 64)
     assert benchmark(multivariate_mean_envelope, x, dirs).shape == (N, 4)
+
+
+def _noise(n):
+    return np.random.default_rng(n).standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_detect_extrema(benchmark, n):
+    v = _noise(n)  # continuous samples: no plateaus
+    ext = benchmark(detect_extrema, v)
+    mid = v[1:-1]
+    assert ext.max_idx.tolist() == (((mid > v[:-2]) & (mid > v[2:])).nonzero()[0] + 1).tolist()
+    assert ext.min_idx.tolist() == (((mid < v[:-2]) & (mid < v[2:])).nonzero()[0] + 1).tolist()
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_build_envelopes(benchmark, n):
+    v = _noise(n)
+    env = benchmark(build_envelopes, v)
+    ext = env.extrema
+    # Each envelope passes through its extrema; the mean is their average.
+    assert np.allclose(env.upper[ext.max_idx], ext.max_val, rtol=0, atol=1e-12)
+    assert np.allclose(env.lower[ext.min_idx], ext.min_val, rtol=0, atol=1e-12)
+    assert env.mean.tobytes() == ((env.upper + env.lower) / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_sift_one_imf(benchmark, n):
+    x = SampledSignal(_noise(n), 1.0)
+    imf, residue = benchmark(sift_one_imf, x)
+    assert residue.samples.tobytes() == (x.samples - imf.samples).tobytes()
+    assert abs(imf.samples.mean()) < 0.1 * np.abs(imf.samples).max()
+
+
+@pytest.mark.parametrize("n", [1024, 16384])
+def test_emd(benchmark, n):
+    x = SampledSignal(_noise(n), 1.0)
+    d = benchmark(emd, x)
+    assert len(d.imfs) >= 5
+    assert np.allclose(d.reconstruct().samples, x.samples, rtol=0, atol=1e-10)

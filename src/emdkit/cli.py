@@ -279,6 +279,10 @@ def run_decompose(args) -> int:
             raise CliError(f"unknown output {o!r}; choose from {', '.join(OUTPUTS)}")
     if not outputs:
         outputs = ["imfs", "report"]
+    if "sweep" in outputs and args.fs_step < 1:
+        raise CliError(f"--fs-step must be >= 1, got {args.fs_step}")
+    if "sweep" in outputs and args.fs_start > args.fs_stop:
+        raise CliError(f"--fs-start {args.fs_start} is above --fs-stop {args.fs_stop}")
 
     seed = args.seed
     if seed is None:

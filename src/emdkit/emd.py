@@ -43,8 +43,8 @@ class EemdConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.noise_stddev_ratio < 0:
-            raise ValueError("noise_stddev_ratio must be >= 0")
+        if not 0 <= self.noise_stddev_ratio < np.inf:  # NaN fails every comparison
+            raise ValueError("noise_stddev_ratio must be finite and >= 0")
         if self.ensemble_size < 1:
             raise ValueError("ensemble_size must be >= 1")
 
@@ -108,8 +108,8 @@ def _sd(h: np.ndarray, h_new: np.ndarray) -> list[float]:
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
-    """Extract one IMF from ``x``; returns (imf, residue) with
-    imf + residue == x exactly (elementwise float identity).
+    """Extract one IMF from ``x``; returns (imf, residue) with residue
+    = x - imf, so imf + residue == x to within one rounding per sample.
 
     Raises NoEnvelopeError if ``x`` has no envelopes at all, signalling
     the end of the decomposition to the caller. A nonzero ``x`` whose

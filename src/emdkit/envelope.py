@@ -1,13 +1,13 @@
 """Local extrema detection and natural cubic-spline envelopes for sifting.
 
-End effects are handled by mirror extension: the two extrema nearest each
-end of the record are reflected about the record boundary before spline
-fitting, so both envelopes are defined over the full record.
+End effects: ``build_envelopes`` extends the knots past both record ends
+by the mirror rule of Rilling, Flandrin & Goncalves 2003
+(``_boundary_knots``); MEMD's ``_mirror_extend`` reflects the two extrema
+nearest each end about the record boundary.
 
-``cubic_spline`` works in two halves: a layout (spacings, each query's
-piece and its weights), which depends only on the knot abscissae and
-the queries, then the solve and evaluation for the knot values. The last
-layout is memoised, so MEMD's channels, splined through the same knot
+Every spline is evaluated by ``_evaluate`` from ``_weights``.
+``cubic_spline`` memoises its last layout (spacings, each query's piece
+and its weights), so MEMD's channels, splined through the same knot
 instants on the same grid, compute it once.
 """
 
@@ -105,30 +105,14 @@ def cubic_spline(knots_t, knots_v, query_t) -> np.ndarray:
         raise InvalidKnotsError("need a 1-D array of at least 2 knots with matching values")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise ValueError("knots must be finite")
-    h, idx, a, b, ca, cb, hi2 = _layout(t, q.reshape(-1))
-    m = _natural_second_derivatives(h, y)
-    # _evaluate's expression, in its order, with the layout's weights.
-    out = y[idx]
-    out *= a
-    w = y[1:][idx]
-    w *= b
-    out += w
-    w = m[idx]
-    np.multiply(ca, w, out=w)
-    v = m[1:][idx]
-    np.multiply(cb, v, out=v)
-    w += v
-    w *= hi2
-    w /= 6.0
-    out += w
-    return out.reshape(q.shape)
+    h, idx, *weights = _layout(t, q.reshape(-1))
+    return _evaluate(y, _natural_second_derivatives(h, y), idx, weights).reshape(q.shape)
 
 
 def _layout(t: np.ndarray, q: np.ndarray):
     """What a spline through abscissae ``t`` (finite) at the 1-D queries
     ``q`` needs besides the knot values: spacings ``h``, each query's
-    piece ``idx`` and the weights ``a``, ``b``, ``a**3 - a``, ``b**3 - b``
-    and ``h[idx]**2`` of ``_evaluate``, as read-only arrays. The last
+    piece ``idx`` and its ``_weights``, as read-only arrays. The last
     layout is memoised under the bytes of ``t`` and ``q``, so splining
     several channels through the same knot instants computes it once."""
     key = (t.tobytes(), q.tobytes())
@@ -143,6 +127,17 @@ def _layout(t: np.ndarray, q: np.ndarray):
     idx -= 1
     np.maximum(idx, 0, out=idx)
     np.minimum(idx, t.size - 2, out=idx)
+    layout = (h, idx, *_weights(t, h, idx, q))
+    for arr in layout:
+        arr.flags.writeable = False
+    _LAYOUT_MEMO[0] = (key, layout)
+    return layout
+
+
+def _weights(t, h, idx, q):
+    """The weights of queries ``q`` on the pieces from knot ``idx`` to
+    ``idx + 1`` of abscissae ``t`` with spacings ``h``: ``a = (t1 - q)/hi``,
+    ``b = (q - t0)/hi``, ``a**3 - a``, ``b**3 - b`` and ``hi**2``."""
     hi = h[idx]
     a = t[1:][idx]
     a -= q
@@ -154,40 +149,26 @@ def _layout(t: np.ndarray, q: np.ndarray):
     cb = np.power(b, 3)
     cb -= b
     hi *= hi
-    layout = (h, idx, a, b, ca, cb, hi)
-    for arr in layout:
-        arr.flags.writeable = False
-    _LAYOUT_MEMO[0] = (key, layout)
-    return layout
+    return a, b, ca, cb, hi
 
 
-def _evaluate(t, y, h, m, idx, q) -> np.ndarray:
-    """The spline with knots ``t``, values ``y``, spacings ``h`` and second
-    derivatives ``m`` at ``q``, each query on the piece from knot ``idx``
-    to knot ``idx + 1``: ``a*y0 + b*y1 + ((a**3 - a)*m0 + (b**3 - b)*m1)
-    * hi**2 / 6`` with ``a = (t1 - q)/hi``, ``b = (q - t0)/hi``, in that
-    order of operations, with temporaries reused in place.
-    """
-    hi = h[idx]
-    a = t[1:][idx]
-    a -= q
-    a /= hi
-    b = q - t[idx]
-    b /= hi
+def _evaluate(y, m, idx, weights) -> np.ndarray:
+    """The spline with knot values ``y`` and second derivatives ``m`` at
+    the queries of ``weights`` (``_weights``), each on the piece from knot
+    ``idx`` to knot ``idx + 1``: ``a*y0 + b*y1 + ((a**3 - a)*m0 +
+    (b**3 - b)*m1) * hi**2 / 6``, in that order of operations."""
+    a, b, ca, cb, hi2 = weights
     out = y[idx]
     out *= a
     w = y[1:][idx]
     w *= b
     out += w
-    np.power(a, 3, out=w)
-    w -= a
-    w *= m[idx]
-    np.power(b, 3, out=a)
-    a -= b
-    a *= m[1:][idx]
-    w += a
-    hi *= hi
-    w *= hi
+    w = m[idx]
+    w *= ca
+    v = m[1:][idx]
+    v *= cb
+    w += v
+    w *= hi2
     w /= 6.0
     out += w
     return out
@@ -323,7 +304,8 @@ def _grid_pair(ts, ys, n: int) -> np.ndarray:
     counts = c[1:] - c[:-1]
     counts[ends[:-1]] = 0  # the gap between two blocks holds no grid point
     idx = np.repeat(np.arange(t.size - 1), counts)
-    return _evaluate(t, y, h, m, idx, np.concatenate([np.arange(n, dtype=float)] * len(ts)))
+    q = np.concatenate([np.arange(n, dtype=float)] * len(ts))
+    return _evaluate(y, m, idx, _weights(t, h, idx, q))
 
 
 #: Peak |knot value| range with ample headroom for the envelope arithmetic:

@@ -476,6 +476,11 @@ class TestErrors:
         ["--input", "two.csv", "--algo", "memd", "--out", "spectrum"],
         ["--input", "constant.csv", "--out", "spectrum"],
         ["verify", "one-dc"],
+        ["--algo", "eemd", "--noise-ratio", "nan"],
+        ["--algo", "eemd", "--noise-ratio", "inf"],
+        ["--out", "sweep", "--fs-step", "0"],
+        ["--out", "sweep", "--fs-step", "-5"],
+        ["--out", "sweep", "--fs-start", "400", "--fs-stop", "105"],
     ])
     def test_invalid_counts(self, two_tone_csv, tmp_path, monkeypatch, capsys, flags):
         # Every invalid input or option: exit 1 and one line on stderr.
@@ -499,6 +504,11 @@ class TestErrors:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not Path("out").exists()
+        # A range error names the flag (the field, for a config's own check).
+        named = {"--fs-step": "--fs-step", "--fs-start": "--fs-start",
+                 "--noise-ratio": "noise_stddev_ratio"}
+        assert all(named[f] in err for f in flags if f in named)
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--gen", "am", "--algo", "foo"],

@@ -39,8 +39,10 @@ class TestConfigs:
             SiftConfig(max_imfs=-1)
 
     def test_eemd_config_validation(self):
-        with pytest.raises(ValueError):
-            EemdConfig(noise_stddev_ratio=-0.1)
+        for bad in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="noise_stddev_ratio"):
+                EemdConfig(noise_stddev_ratio=bad)
+        assert EemdConfig(noise_stddev_ratio=0.0).noise_stddev_ratio == 0.0
         with pytest.raises(ValueError):
             EemdConfig(ensemble_size=0)
 
