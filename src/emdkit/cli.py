@@ -69,7 +69,7 @@ class CliError(Exception):
 
 def _open(path: Path):
     try:
-        return path.open()
+        return path.open(encoding="utf-8-sig")  # a leading byte-order mark is no data
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from exc
 
@@ -271,6 +271,12 @@ def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
 def run_decompose(args) -> int:
     if (args.input is None) == (args.gen is None):
         raise CliError("exactly one of --input and --gen is required")
+    source, seed = "--seed", args.seed  # resolved once, before any work
+    if seed is None:
+        source, seed = "EMDKIT_SEED", os.environ.get("EMDKIT_SEED", "0").strip()
+    if not str(seed).isdecimal():
+        raise CliError(f"{source} must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     outputs = []
     for item in args.out:
         outputs.extend(o for o in item.split(",") if o)
@@ -284,9 +290,6 @@ def run_decompose(args) -> int:
     if "sweep" in outputs and args.fs_start > args.fs_stop:
         raise CliError(f"--fs-start {args.fs_start} is above --fs-stop {args.fs_stop}")
 
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("EMDKIT_SEED", "0"))
     scfg = SiftConfig(sd_threshold=args.sd_threshold,
                       max_sift_iterations=args.max_sift_iterations,
                       max_imfs=args.max_imfs)
@@ -374,7 +377,7 @@ def run_decompose(args) -> int:
 
 def _read_meta(path: Path) -> dict[str, str]:
     """``# key=value`` comment lines of an emitted CSV."""
-    with path.open() as lines:
+    with _open(path) as lines:
         return {k.strip(): v.strip() for k, _, v in
                 (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
 

@@ -228,13 +228,6 @@ def _extract_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float, stages=
     return modes, work
 
 
-def _emd_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float) -> list[Decomposition]:
-    """``emd`` of each row of ``rows`` sampled at ``sample_rate``, sifted
-    in lockstep."""
-    return [Decomposition(ms, res, Variant.EMD)
-            for ms, res in zip(*_extract_rows(rows, cfg, sample_rate))]
-
-
 def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     """Plain EMD: iterate sifting on successive residues.
 

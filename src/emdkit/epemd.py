@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_stack
-from .emd import SiftConfig, _extract_modes, _extract_rows, sift_one_imf
+from .emd import SiftConfig, _extract_modes, sift_one_imf
 from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
 
 #: Residue energy below this fraction of the stage input energy triggers
@@ -50,8 +50,8 @@ def orthogonalize_stage(imf: SampledSignal, residue: SampledSignal) -> LinoepSta
 
 
 def _linoep_stage(alphas: list, imf: SampledSignal, residue: SampledSignal):
-    """One EPEMD stage of ``_extract_modes``: the orthogonal pair, with
-    its alpha appended to ``alphas``."""
+    """One EPEMD stage of ``_extract_modes`` or ``_extract_rows``: the
+    orthogonal pair, with its alpha appended to ``alphas``."""
     st = orthogonalize_stage(imf, residue)
     alphas.append(st.alpha)
     return st.epimf, st.residue_out
@@ -69,15 +69,6 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
                                          partial(_linoep_stage, alphas), cfg.max_imfs)
     return Decomposition(components, residue, Variant.EPEMD,
                          diagnostics={"alphas": alphas})
-
-
-def _epemd_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float) -> list[Decomposition]:
-    """``epemd`` of each row of ``rows`` sampled at ``sample_rate``, sifted
-    in lockstep."""
-    alphas: list[list[float]] = [[] for _ in rows]
-    stages = [partial(_linoep_stage, a) for a in alphas]
-    return [Decomposition(cs, res, Variant.EPEMD, diagnostics={"alphas": a})
-            for cs, res, a in zip(*_extract_rows(rows, cfg, sample_rate, stages), alphas)]
 
 
 def verify_linoep(components) -> bool:

@@ -249,6 +249,8 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     Input below the normal range keeps its scale, as in eemd, and so falls
     under the residue floor: like emd, it has no IMFs.
     """
+    if K < 1:
+        raise ValueError("need K >= 1")
     if x.n_channels == 1:
         d = univariate(x.channels[0], cfg)
         return MultivariateDecomposition((replace(d, variant=variant),))

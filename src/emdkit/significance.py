@@ -15,13 +15,14 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
-from .emd import SiftConfig, _emd_rows, _row_batches, _trial_rng, zero_crossing_count
-from .epemd import _epemd_rows
+from .emd import SiftConfig, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
+from .epemd import _linoep_stage
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
 #: Width of a log-period pooling bin, in octaves.
@@ -65,14 +66,17 @@ def imf_statistics(imf: SampledSignal) -> SignificancePoint:
 
 def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
                        sample_rate: float) -> list[Decomposition]:
-    """The decompositions of one lockstep batch of noise rows."""
-    if decomposer is Variant.EMD:
-        return _emd_rows(rows, cfg, sample_rate)
+    """The ``decomposer`` decompositions of one batch of noise rows sifted in
+    lockstep, each bit for bit as of its row alone: EPEMD with its alphas,
+    EMD, or a Gram-Schmidt variant of that EMD."""
     if decomposer is Variant.EPEMD:
-        return _epemd_rows(rows, cfg, sample_rate)
-    if decomposer in GRAM_SCHMIDT_VARIANTS:
-        return [orthogonal_variants(d, decomposer) for d in _emd_rows(rows, cfg, sample_rate)]
-    raise ValueError(f"unsupported decomposer {decomposer}")
+        alphas: list[list[float]] = [[] for _ in rows]
+        stages = [partial(_linoep_stage, a) for a in alphas]
+        return [Decomposition(ms, res, Variant.EPEMD, diagnostics={"alphas": a})
+                for ms, res, a in zip(*_extract_rows(rows, cfg, sample_rate, stages), alphas)]
+    ds = [Decomposition(ms, res, Variant.EMD)
+          for ms, res in zip(*_extract_rows(rows, cfg, sample_rate))]
+    return ds if decomposer is Variant.EMD else [orthogonal_variants(d, decomposer) for d in ds]
 
 
 def _trial_points(trials: range, length: int, decomposer: Variant, seed: int,
@@ -153,6 +157,8 @@ def white_noise_band(
     if length < MIN_LENGTH:
         raise ValueError(f"need a noise length of at least {MIN_LENGTH} samples, "
                          f"got {length}")
+    if decomposer not in (Variant.EMD, Variant.EPEMD, *GRAM_SCHMIDT_VARIANTS):
+        raise ValueError(f"unsupported decomposer {decomposer}")
     periods, energies = np.array(_pooled_points(trials, length, decomposer, seed, sample_rate,
                                                  cfg)).reshape(-1, 2).T
     log_p = np.log2(periods)

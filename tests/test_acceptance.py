@@ -32,7 +32,7 @@ from emdkit import (
     sweep_io_t,
     white_noise_band,
 )
-from emdkit.emd import _emd_rows
+from emdkit.emd import _extract_rows
 from emdkit.siggen import MULTITONE4_FREQS
 from test_envelope import _dense_natural_spline
 
@@ -241,8 +241,8 @@ class TestHilbertOracle:
 @pytest.fixture(scope="module")
 def shared_emd():
     """``emd`` memoized on (sample bytes, rate, config), and the lockstep
-    batch EMD that ``white_noise_band`` calls memoized on (row bytes,
-    config, rate) and patched into ``emdkit.significance``: the
+    row driver that ``white_noise_band`` sifts EMD batches with memoized
+    on (row bytes, config, rate) and patched into ``emdkit.significance``: the
     Gram-Schmidt noise tests post-process the same 100 band-trial and 10
     scored white-noise EMDs."""
     memo = {}
@@ -253,14 +253,16 @@ def shared_emd():
             memo[key] = emd(x, cfg)
         return memo[key]
 
-    def cached_rows(rows, cfg, sample_rate):
+    def cached_rows(rows, cfg, sample_rate, stages=None):
+        if stages is not None:  # EPEMD: its alphas go to the caller's stages
+            return _extract_rows(rows, cfg, sample_rate, stages)
         key = (rows.tobytes(), rows.shape, cfg, sample_rate)
         if key not in memo:
-            memo[key] = _emd_rows(rows, cfg, sample_rate)
+            memo[key] = _extract_rows(rows, cfg, sample_rate)
         return memo[key]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("emdkit.significance._emd_rows", cached_rows)
+        mp.setattr("emdkit.significance._extract_rows", cached_rows)
         yield cached
 
 

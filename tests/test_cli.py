@@ -178,6 +178,17 @@ class TestReadSignalCsv:
                          "--output-dir", str(tmp_path / "none")]) == 1
         assert capsys.readouterr().err == f"error: {header_only}: fewer than 2 data rows\n"
 
+    @pytest.mark.parametrize("header", ["time,x\n", ""])
+    @pytest.mark.parametrize("comment, plain", [("", True), ("# note\n", False)])
+    def test_byte_order_mark_is_ignored(self, tmp_path, header, comment, plain):
+        # A plain file goes to numpy's reader, a mid-file comment to the line reader.
+        p = tmp_path / "bom.csv"
+        p.write_bytes(f"\ufeff{header}0,1\n1,2\n{comment}2,3\n3,4\n".encode())
+        with cli._open(p) as lines:
+            assert (cli._load_plain(lines) is not None) == plain
+        x, = read_signal_csv(p).channels
+        assert x.samples.tolist() == [1.0, 2.0, 3.0, 4.0] and x.t0 == 0.0
+
     def test_wide_file_is_read_without_per_value_objects(self, tmp_path):
         # 16,384 rows x 15 columns; the whole-text read peaked at 18.8 MiB.
         n = 16384
@@ -481,10 +492,22 @@ class TestErrors:
         ["--out", "sweep", "--fs-step", "0"],
         ["--out", "sweep", "--fs-step", "-5"],
         ["--out", "sweep", "--fs-start", "400", "--fs-stop", "105"],
+        ["--gen", "am", "--algo", "memd", "--directions", "0"],
+        ["--gen", "am", "--seed", "-1"],
+        ["--gen", "am", "--algo", "eemd", "--seed", "-1"],
+        ["--gen", "wgn", "--seed", "-1"],
+        ["--out", "significance", "--seed", "-1"],
+        ["EMDKIT_SEED=abc", "--gen", "am"],
+        ["EMDKIT_SEED=-1", "--gen", "wgn"],
+        ["EMDKIT_SEED=2.5", "--algo", "eemd"],
     ])
     def test_invalid_counts(self, two_tone_csv, tmp_path, monkeypatch, capsys, flags):
         # Every invalid input or option: exit 1 and one line on stderr.
         monkeypatch.chdir(tmp_path)
+        env = flags[0].startswith("EMDKIT_SEED=")
+        if env:
+            monkeypatch.setenv("EMDKIT_SEED", flags[0].partition("=")[2])
+            flags = flags[1:]
         for name, text in {"one-column.csv": "0\n1\n2\n", "one-row.csv": "time,ch1\n0,1\n",
                            "nan.csv": "0,1\n1,nan\n2,3\n", "backwards.csv": "0,1\n1,2\n1,3\n",
                            "constant.csv": "0,1\n1,1\n2,1\n3,1\n"}.items():
@@ -507,8 +530,9 @@ class TestErrors:
         assert not Path("out").exists()
         # A range error names the flag (the field, for a config's own check).
         named = {"--fs-step": "--fs-step", "--fs-start": "--fs-start",
-                 "--noise-ratio": "noise_stddev_ratio"}
+                 "--noise-ratio": "noise_stddev_ratio", "--seed": "--seed"}
         assert all(named[f] in err for f in flags if f in named)
+        assert not env or "EMDKIT_SEED" in err
 
     @pytest.mark.parametrize("argv", [
         ["decompose", "--gen", "am", "--algo", "foo"],
@@ -652,6 +676,13 @@ class TestVerify:
 
     def test_roimf_orthogonality_checked(self, two_tone_csv, tmp_path, capsys):
         out = self.run_pipeline(two_tone_csv, tmp_path, "--post", "roimf")
+        assert main(["verify", str(out)]) == 0
+        assert "pairwise orthogonality" in capsys.readouterr().out
+
+    def test_byte_order_mark_keeps_the_variant(self, two_tone_csv, tmp_path, capsys):
+        out = self.run_pipeline(two_tone_csv, tmp_path, "--post", "roimf")
+        imfs = out / "imfs.csv"
+        imfs.write_bytes("\ufeff".encode() + imfs.read_bytes())
         assert main(["verify", str(out)]) == 0
         assert "pairwise orthogonality" in capsys.readouterr().out
 

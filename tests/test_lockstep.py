@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from emdkit import (EemdConfig, NoEnvelopeError, SampledSignal, SiftConfig, Variant,
                     build_envelopes, cubic_spline, eemd, emd, epemd, orthogonal_variants,
                     white_noise_band)
-from emdkit.emd import _emd_rows, _trial_rng
+from emdkit.emd import _trial_rng
 from emdkit.envelope import (_envelope_knots, _envelopes, _grid_pair,
                              _natural_second_derivatives)
-from emdkit.epemd import _epemd_rows
 from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
+from emdkit.significance import _decompose_variant
 
 CONFIGS = (SiftConfig(), SiftConfig(max_imfs=2), SiftConfig(max_sift_iterations=1),
            SiftConfig(sd_threshold=0.05, max_sift_iterations=7))
@@ -55,9 +55,10 @@ def _assert_same(batch, alone):
 
 
 def _check_rows(rows, cfg, rate=1.0):
-    for batch_fn, alone_fn in ((_emd_rows, emd), (_epemd_rows, epemd)):
-        for d, v in zip(batch_fn(rows, cfg, rate), rows, strict=True):
-            _assert_same(d, alone_fn(SampledSignal(v, rate), cfg))
+    for variant in (Variant.EMD, Variant.EPEMD) + GRAM_SCHMIDT_VARIANTS:
+        for d, alone in zip(_decompose_variant(rows, variant, cfg, rate),
+                            _one_trial_at_a_time(rows, variant, cfg, rate), strict=True):
+            _assert_same(d, alone)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -75,7 +76,7 @@ def test_every_kind_in_one_batch(n, cfg):
     # Rows that end at different IMF counts, some at once, share each step.
     rng = np.random.default_rng(n)
     rows = np.array([_row(k, n, rng) for k in KINDS + KINDS[:2]])
-    counts = {len(d.imfs) for d in _emd_rows(rows, cfg, 1.0)}
+    counts = {len(d.imfs) for d in _decompose_variant(rows, Variant.EMD, cfg, 1.0)}
     assert 0 in counts and len(counts) > 1
     _check_rows(rows, cfg)
 

@@ -16,6 +16,7 @@ from emdkit import (
     Variant,
     build_envelopes,
     emd,
+    epmemd,
     generate_multitone4,
     hammersley_directions,
     memd,
@@ -204,6 +205,14 @@ class TestMemd:
         s = sine(8.0, 256.0, 2.0)
         with pytest.raises(RuntimeError):
             memd(MultivariateSignal((s, s)), K=8)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("K", [0, -5])
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_direction_count_checked_for_any_channel_count(self, channels, K, decompose):
+        s = sine(8.0, 256.0, 2.0)
+        with pytest.raises(ValueError, match="^need K >= 1$"):
+            decompose(MultivariateSignal((s,) * channels), K)
 
     def test_single_channel_falls_back_to_emd(self):
         s = sine(8.0, 256.0, 2.0) + sine(32.0, 256.0, 2.0)

@@ -172,6 +172,14 @@ class TestForkedBand:
         white_noise_band(length, trials=trials, cfg=SiftConfig(max_imfs=1, max_sift_iterations=1))
         assert len(forks) == forked
 
+    @pytest.mark.parametrize("decomposer", [Variant.EEMD, Variant.MEMD, Variant.EPMEMD])
+    def test_unsupported_decomposer_rejected_before_any_fork(self, monkeypatch, forks,
+                                                             decomposer):
+        _cpus(monkeypatch, 2)
+        with pytest.raises(ValueError, match=f"^unsupported decomposer {decomposer}$"):
+            white_noise_band(1024, decomposer)
+        assert forks == []
+
     def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
         _cpus(monkeypatch, 2)
         done = threading.Event()
