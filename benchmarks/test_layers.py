@@ -1,6 +1,7 @@
 """Layer micro-benchmarks: extrema detection, the spline and envelope
-routines, one sift and a whole EMD, at the sizes the benchmark workloads
-use them and, for the univariate layers, at 16,384 samples too.
+routines, one sift, a whole EMD and a whole MEMD, at the sizes the
+benchmark workloads use them and, for the univariate layers, at 16,384
+samples too.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # each case once
@@ -14,6 +15,7 @@ import pytest
 
 from emdkit import (
     SampledSignal,
+    SiftConfig,
     SignalKind,
     SignalSpec,
     build_envelopes,
@@ -22,6 +24,7 @@ from emdkit import (
     emd,
     generate_multitone4,
     hammersley_directions,
+    memd,
     multivariate_mean_envelope,
     sift_one_imf,
 )
@@ -67,11 +70,25 @@ def test_grid_pair(benchmark, rows):
     assert benchmark(_grid_pair, ts, ys, N).shape == (2 * rows * N,)
 
 
+def _multitone4():
+    return generate_multitone4(SignalSpec(SignalKind.MULTITONE4, sample_rate=256.0,
+                                          duration=4.0, seed=3))
+
+
 def test_multivariate_mean_envelope(benchmark):
-    x = generate_multitone4(SignalSpec(SignalKind.MULTITONE4, sample_rate=256.0,
-                                       duration=4.0, seed=3))
     dirs = hammersley_directions(4, 64)
-    assert benchmark(multivariate_mean_envelope, x, dirs).shape == (N, 4)
+    assert benchmark(multivariate_mean_envelope, _multitone4(), dirs).shape == (N, 4)
+
+
+def test_memd(benchmark):
+    # The benchmark workload's caps: 3 modes x 4 sift iterations. At K = 64
+    # the directions are shared out to forked helpers on every CPU.
+    x = _multitone4()
+    d = benchmark(memd, x, 64, SiftConfig(max_imfs=3, max_sift_iterations=4))
+    assert len(d.imfs) == 3
+    for j, ch in enumerate(x.channels):
+        recon = d.residue.channels[j].samples + sum(m.channels[j].samples for m in d.imfs)
+        assert np.allclose(recon, ch.samples, rtol=0, atol=1e-12)
 
 
 def _noise(n):

@@ -289,6 +289,8 @@ def run_decompose(args) -> int:
         raise CliError(f"--fs-step must be >= 1, got {args.fs_step}")
     if "sweep" in outputs and args.fs_start > args.fs_stop:
         raise CliError(f"--fs-start {args.fs_start} is above --fs-stop {args.fs_stop}")
+    if args.algo in MULTIVARIATE_ALGOS and args.directions < 1:
+        raise CliError(f"--directions must be >= 1, got {args.directions}")
 
     scfg = SiftConfig(sd_threshold=args.sd_threshold,
                       max_sift_iterations=args.max_sift_iterations,

@@ -13,9 +13,11 @@ univariate extrema/zero-crossing condition is not imposed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
+from . import _fork
 from .core import (
     Decomposition,
     DimensionMismatchError,
@@ -40,6 +42,11 @@ DEGENERATE_PROJECTION_THRESHOLD = 1e-10
 #: A residue below this fraction of the input amplitude ends mode
 #: extraction.
 NEGLIGIBLE_RESIDUE_THRESHOLD = 1e-12
+
+#: Fewest projected samples (directions x samples x channels) per mean
+#: envelope for which forked helpers share the directions: below it a
+#: forked decomposition was no faster than a serial one.
+_FORK_MIN_WORK = 2**16
 
 
 @dataclass(frozen=True)
@@ -183,20 +190,12 @@ def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarr
     return out
 
 
-def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.ndarray:
-    """Direction-averaged mean of the multidimensional upper and lower
-    envelopes, as an (n, n_channels) array.
-
-    Directions whose projection lacks two maxima or two minima are
-    skipped; if every direction is skipped the signal has no envelope.
-    """
-    if dirs.directions.shape[1] != x.n_channels:
-        raise DimensionMismatchError(f"directions need {x.n_channels} coordinates")
-    data = x.as_array()
-    acc = np.zeros_like(data)
-    used = 0
+def _direction_means(data: np.ndarray, directions: np.ndarray):
+    """Mean of the upper and lower envelope surfaces of the (n, channels)
+    matrix ``data`` along each of ``directions`` in turn, skipping those
+    whose projection lacks two maxima or two minima."""
     scale = float(np.abs(data).max())
-    for d in dirs.directions:
+    for d in directions:
         p = data @ d
         if float(np.abs(p).max()) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
             continue
@@ -206,17 +205,70 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet) -> np.
             continue
         if ext.max_idx.size < 2 or ext.min_idx.size < 2:
             continue
-        upper = _interp_channels(data, ext.max_idx, x.n)
-        lower = _interp_channels(data, ext.min_idx, x.n)
-        acc += (upper + lower) / 2.0
-        used += 1
+        upper = _interp_channels(data, ext.max_idx, data.shape[0])
+        lower = _interp_channels(data, ext.min_idx, data.shape[0])
+        yield (upper + lower) / 2.0
+
+
+def _serve_directions(directions: np.ndarray, pipe, share: range) -> None:
+    """A forked helper's loop: for each mode matrix the caller sends, take
+    the means of its share of ``directions`` while the caller takes its
+    own, then add them in order to the running sum and count it passes on."""
+    directions = directions[share.start:share.stop]
+    while True:
+        data = pipe.recv()
+        try:
+            means = list(_direction_means(data, directions))
+        except Exception as exc:
+            means = exc
+        acc, used = pipe.recv()
+        if not isinstance(means, Exception):
+            for m in means:
+                acc += m
+            means = (acc, used + len(means))
+        pipe.send(means)
+
+
+def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
+                               helpers=()) -> np.ndarray:
+    """Direction-averaged mean of the multidimensional upper and lower
+    envelopes, as an (n, n_channels) array.
+
+    Directions whose projection lacks two maxima or two minima are
+    skipped; if every direction is skipped the signal has no envelope.
+    ``helpers`` are the pipes to the forked helpers of ``_multivariate_modes``:
+    each takes the means of the next contiguous share of the directions,
+    and the sum passes through them in direction order, so the result is
+    bit for bit the serial one.
+    """
+    if dirs.directions.shape[1] != x.n_channels:
+        raise DimensionMismatchError(f"directions need {x.n_channels} coordinates")
+    data = x.as_array()
+    for pipe in helpers:
+        pipe.send(data)
+    acc = np.zeros_like(data)
+    used, failed = 0, None
+    try:  # the first share of the directions
+        for m in _direction_means(data, dirs.directions[:dirs.count // (len(helpers) + 1)]):
+            acc += m
+            used += 1
+    except Exception as exc:
+        failed = exc
+    for pipe in helpers:  # every helper replies, so all stay in step
+        pipe.send((acc, used))
+        try:
+            acc, used = pipe.result()
+        except Exception as exc:
+            failed = failed or exc
+    if failed is not None:
+        raise failed
     if used == 0:
         raise NoEnvelopeError("no direction projection has enough extrema")
     return acc / used
 
 
 def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
-                                  cfg: SiftConfig):
+                                  cfg: SiftConfig, helpers=()):
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
     the stoppage ratio holds. Returns (mode, residue); raises
     NoEnvelopeError when ``x`` has no envelope or the mode is rounding
@@ -225,7 +277,7 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
     work = x
     for it in range(cfg.max_sift_iterations):
         try:
-            env = multivariate_mean_envelope(work, dirs)
+            env = multivariate_mean_envelope(work, dirs, helpers)
         except NoEnvelopeError:
             if it == 0:
                 raise
@@ -247,7 +299,9 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     Extraction runs on the input rescaled by a power of two (exact, so
     safe up to the top of the float64 range), and the modes are scaled back.
     Input below the normal range keeps its scale, as in eemd, and so falls
-    under the residue floor: like emd, it has no IMFs.
+    under the residue floor: like emd, it has no IMFs. Where it pays, one
+    forked helper per extra CPU lives as long as the extraction and takes a
+    share of every mean envelope's directions.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -261,12 +315,16 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     np.ldexp(data, k, out=data)
     floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.abs(data).max()), np.finfo(float).tiny)
 
-    def extract(work):
-        if float(np.abs(work.as_array()).max()) <= floor:
-            raise NoEnvelopeError("the residue is negligible or below the normal range")
-        return _extract_one_multivariate_imf(work, dirs, cfg)
+    workers = _fork.worker_count(x.n, K if K * x.n * x.n_channels >= _FORK_MIN_WORK else 1)
+    with _fork.forked(partial(_serve_directions, dirs.directions),
+                      _fork.shares(K, workers)[1:]) as helpers:
 
-    modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
+        def extract(work):
+            if float(np.abs(work.as_array()).max()) <= floor:
+                raise NoEnvelopeError("the residue is negligible or below the normal range")
+            return _extract_one_multivariate_imf(work, dirs, cfg, helpers)
+
+        modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
     *modes, residue = (x.from_array(np.ldexp(m.as_array(), -k)) for m in (*modes, residue))
     return MultivariateDecomposition(tuple(
         Decomposition(tuple(m.channels[j] for m in modes), r, variant)

@@ -10,16 +10,13 @@ energy falls inside the band are indistinguishable from white noise.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
+from . import _fork
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
 from .emd import SiftConfig, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
 from .epemd import _linoep_stage
@@ -30,10 +27,6 @@ OCTAVES_PER_BIN = 1.0
 
 #: Fewest samples a component needs for its period statistics.
 MIN_LENGTH = 8
-
-#: Longest noise trial shared out to forked workers: past it OpenBLAS runs
-#: ``np.dot`` on its own threads, and a forked band ran 2-3x slower.
-_FORK_MAX_LENGTH = 10_000
 
 
 @dataclass(frozen=True)
@@ -98,45 +91,19 @@ def _trial_points(trials: range, length: int, decomposer: Variant, seed: int,
 def _pooled_points(trials: int, length: int, *args) -> list[tuple[float, float]]:
     """``_trial_points`` of ``range(trials)`` in one contiguous share per CPU:
     the first here, each other one in a forked child that pickles its points
-    back through a pipe. Rows come out bit for bit however they are batched.
-    Serial where fork is missing, unsafe (another thread runs) or does not pay."""
-    workers = 1
-    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and length <= _FORK_MAX_LENGTH and threading.active_count() == 1):
-        workers = min(len(os.sched_getaffinity(0)), len(_row_batches(trials, length)))
-    shares = [range(trials * w // workers, trials * (w + 1) // workers) for w in range(workers)]
-    children = []
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            if (pid := os.fork()) == 0:  # the child never returns
-                try:
-                    try:
-                        out = _trial_points(share, length, *args)
-                    except Exception as exc:
-                        out = exc
-                    with open(w, "wb") as pipe:
-                        pickle.dump(out, pipe)
-                finally:
-                    os._exit(0)
-            os.close(w)
-            children.append((pid, r))
-        points = _trial_points(shares[0], length, *args)
-        for pid, r in children:
-            with open(r, "rb", closefd=False) as pipe:
-                try:
-                    out = pickle.load(pipe)
-                except EOFError:
-                    raise ChildProcessError(f"noise-band worker {pid} died") from None
-            if isinstance(out, Exception):
-                raise out
-            points += out
-        return points
-    finally:
-        for pid, r in children:  # stop any child whose points were not read
-            os.close(r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    back. Rows come out bit for bit however they are batched, so the points
+    do not depend on the CPU count."""
+    workers = _fork.worker_count(length, len(_row_batches(trials, length)))
+    own, *rest = _fork.shares(trials, workers)
+
+    def serve(pipe, share):
+        pipe.reply(_trial_points, share, length, *args)
+
+    with _fork.forked(serve, rest) as children:
+        points = _trial_points(own, length, *args)
+        for child in children:
+            points += child.result()
+    return points
 
 
 def white_noise_band(

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -45,3 +46,32 @@ def dense_grid(h) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to the parent, in order."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(k)`` makes ``os.sched_getaffinity`` report k CPUs."""
+    def fake(k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    return fake
+
+
+def no_child_left():
+    """Assert that this process has no child, exited or running."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -500,6 +500,7 @@ class TestErrors:
         ["EMDKIT_SEED=abc", "--gen", "am"],
         ["EMDKIT_SEED=-1", "--gen", "wgn"],
         ["EMDKIT_SEED=2.5", "--algo", "eemd"],
+        ["--gen", "am", "--algo", "epmemd", "--directions", "-3"],
     ])
     def test_invalid_counts(self, two_tone_csv, tmp_path, monkeypatch, capsys, flags):
         # Every invalid input or option: exit 1 and one line on stderr.
@@ -530,7 +531,8 @@ class TestErrors:
         assert not Path("out").exists()
         # A range error names the flag (the field, for a config's own check).
         named = {"--fs-step": "--fs-step", "--fs-start": "--fs-start",
-                 "--noise-ratio": "noise_stddev_ratio", "--seed": "--seed"}
+                 "--directions": "--directions", "--noise-ratio": "noise_stddev_ratio",
+                 "--seed": "--seed"}
         assert all(named[f] in err for f in flags if f in named)
         assert not env or "EMDKIT_SEED" in err
 
@@ -567,6 +569,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("algo", ["memd", "epmemd"])
+    def test_direction_count_checked_before_any_work(self, tmp_path, monkeypatch, capsys, algo):
+        def no_work(*args):
+            raise AssertionError("a signal was generated")
+
+        monkeypatch.setattr(cli, "generate_preset", no_work)
+        assert main(["decompose", "--gen", "multitone4", "--algo", algo, "--directions", "0",
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: --directions must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_all_zero_signal(self, tmp_path, capsys):
         p = tmp_path / "zero.csv"

@@ -1,4 +1,7 @@
 import sys
+import threading
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from emdkit import (
     Decomposition,
     DimensionMismatchError,
+    InvalidKnotsError,
     MultivariateDecomposition,
     MultivariateSignal,
     NoEnvelopeError,
@@ -22,8 +26,11 @@ from emdkit import (
     memd,
     multivariate_mean_envelope,
 )
+from emdkit import _fork
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
-from conftest import fft_peak_hz, sine
+from conftest import fft_peak_hz, no_child_left, sine
+
+memd_module = sys.modules["emdkit.memd"]
 
 
 class TestHammersleyMachinery:
@@ -201,7 +208,7 @@ class TestMemd:
             raise RuntimeError("bug")
 
         # The package re-exports shadow the submodule name; look it up directly.
-        monkeypatch.setattr(sys.modules["emdkit.memd"], "detect_extrema", broken)
+        monkeypatch.setattr(memd_module, "detect_extrema", broken)
         s = sine(8.0, 256.0, 2.0)
         with pytest.raises(RuntimeError):
             memd(MultivariateSignal((s, s)), K=8)
@@ -255,3 +262,135 @@ class TestMultivariateSignal:
         y = x.from_array(x.as_array())
         for a, b in zip(x.channels, y.channels):
             np.testing.assert_array_equal(a.samples, b.samples)
+
+
+#: The benchmark's caps: 3 modes x 4 sift iterations.
+CAPPED = SiftConfig(max_imfs=3, max_sift_iterations=4)
+
+
+def _multitone(seed=3):
+    return generate_multitone4(SignalSpec(SignalKind.MULTITONE4, sample_rate=256.0,
+                                          duration=4.0, seed=seed))
+
+
+def _component_bytes(d):
+    return b"".join(c.samples.tobytes() for m in d.imfs + (d.residue,) for c in m.channels)
+
+
+@contextmanager
+def _helpers(dirs, workers):
+    """Pipes to forked helpers of ``dirs``, as ``_multivariate_modes`` starts them."""
+    with _fork.forked(partial(memd_module._serve_directions, dirs.directions),
+                      _fork.shares(dirs.count, workers)[1:]) as pipes:
+        yield pipes
+
+
+def _planar(angles):
+    return DirectionSet(np.column_stack((np.cos(angles), np.sin(angles))))
+
+
+class TestForkedDirections:
+    # multitone4 has 4 channels of 1,024 samples, so K = 33 and K = 64 are
+    # both past the 2^16 projected samples from which helpers start.
+
+    @pytest.mark.parametrize("K", [64, 33])
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_bytes_do_not_depend_on_the_cpu_count(self, forks, cpus, decompose, K):
+        x = _multitone()
+        out = []
+        for k in (1, 2, 3):
+            cpus(k)
+            d = decompose(x, K, CAPPED)
+            out.append((_component_bytes(d), [c.diagnostics for c in d.channels]))
+        assert len(forks) == 0 + 1 + 2
+        assert out[1] == out[0] and out[2] == out[0]
+        no_child_left()
+
+    def test_helper_share_with_every_direction_skipped(self):
+        # (1, 1)/sqrt(2) projects (s, -s) onto roundoff noise: the helper's
+        # half of the directions is skipped, the caller's half is not.
+        s = sine(4.0, 256.0, 1.0)
+        x = MultivariateSignal((s, -1.0 * s))
+        dirs = _planar(np.r_[np.linspace(0.1, 1.2, 4), np.full(4, np.pi / 4)])
+        want = multivariate_mean_envelope(x, dirs)
+        with _helpers(dirs, 2) as pipes:
+            assert multivariate_mean_envelope(x, dirs, pipes).tobytes() == want.tobytes()
+        no_child_left()
+
+    def test_no_envelope_when_every_share_is_skipped(self):
+        s = sine(4.0, 256.0, 1.0)
+        cancelling = MultivariateSignal((s, -1.0 * s))
+        dirs = _planar(np.full(9, np.pi / 4))
+        other = MultivariateSignal((s, sine(6.0, 256.0, 1.0)))
+        with _helpers(dirs, 3) as pipes:
+            with pytest.raises(NoEnvelopeError, match="^no direction projection"):
+                multivariate_mean_envelope(cancelling, dirs, pipes)
+            # Every helper answered, so the next envelope is exchanged in step.
+            got = multivariate_mean_envelope(other, dirs, pipes)
+        assert got.tobytes() == multivariate_mean_envelope(other, dirs).tobytes()
+        no_child_left()
+
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_helper_error_raises_as_in_a_serial_run(self, monkeypatch, forks, cpus, decompose):
+        # Both channels start at 1, so the directions past the first half,
+        # pointing into the third quadrant, project a negative first sample;
+        # each such projection fails with its own message. The first one
+        # falls in a helper's share, with 2 CPUs and with 3.
+        x = MultivariateSignal((sine(4.0, 256.0, 4.0, phase=np.pi / 2),
+                                sine(6.0, 256.0, 4.0, phase=np.pi / 2)))
+        dirs = _planar(np.r_[np.linspace(0.1, 1.4, 16), np.linspace(3.3, 4.6, 16)])
+        extrema = memd_module.detect_extrema
+
+        def failing(p):
+            if p[0] < 0:
+                raise InvalidKnotsError(f"projection starts at {float(p[0])!r}")
+            return extrema(p)
+
+        monkeypatch.setattr(memd_module, "detect_extrema", failing)
+        monkeypatch.setattr(memd_module, "hammersley_directions", lambda n, K: dirs)
+        raised = []
+        for k in (1, 2, 3):
+            cpus(k)
+            with pytest.raises(InvalidKnotsError) as exc:
+                decompose(x, 32, CAPPED)
+            raised.append(str(exc.value))
+        assert len(forks) == 3 and raised == [raised[0]] * 3
+        data = x.as_array()
+        first = (np.ldexp(data, memd_module._unit_exponent(data)) @ dirs.directions[16])[0]
+        assert raised[0] == f"projection starts at {float(first)!r}"
+        no_child_left()
+
+    def test_dead_helper_is_reported(self, monkeypatch, forks, cpus):
+        cpus(2)
+        monkeypatch.setattr(memd_module, "_serve_directions", lambda directions, pipe, share: None)
+        with pytest.raises(ChildProcessError, match="^forked process .* died$"):
+            memd(_multitone(), 64, CAPPED)
+        assert len(forks) == 1
+        no_child_left()
+
+    @pytest.mark.parametrize("n, K, channels, forked", [
+        (10_000, 8, 2, 1), (10_001, 8, 2, 0),  # the BLAS threshold
+        (1024, 32, 2, 1), (1024, 31, 2, 0),  # 2^16 projected samples
+        (512, 8, 2, 0),  # the benchmark's traced call
+    ])
+    def test_forks_only_below_the_blas_threshold_and_past_the_size_rule(
+            self, forks, cpus, n, K, channels, forked):
+        cpus(2)
+        rng = np.random.default_rng(n)
+        x = MultivariateSignal(tuple(SampledSignal(v, 1.0)
+                                     for v in rng.standard_normal((channels, n))))
+        memd(x, K, SiftConfig(max_imfs=1, max_sift_iterations=1))
+        assert len(forks) == forked
+        no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, forks, cpus):
+        cpus(2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            memd(_multitone(), 64, SiftConfig(max_imfs=1, max_sift_iterations=1))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and forks == []

@@ -1,4 +1,3 @@
-import os
 import threading
 import time
 
@@ -19,7 +18,7 @@ from emdkit import (
 )
 from emdkit.emd import _trial_rng
 from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
-from conftest import sine
+from conftest import no_child_left, sine
 
 
 class TestImfStatistics:
@@ -98,49 +97,26 @@ def _band_bytes(band):
     return b"".join(a.tobytes() for a in (band.period_grid, band.lower_5th, band.upper_95th))
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids ``os.fork`` returns to the parent, in order."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
-def _cpus(monkeypatch, k):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestForkedBand:
     # 50 trials at 512 samples make 4 lockstep batches of 16 rows, so up
     # to 4 workers each get a share.
 
     @pytest.mark.parametrize("decomposer", (Variant.EMD, Variant.EPEMD) + GRAM_SCHMIDT_VARIANTS)
-    def test_band_bytes_do_not_depend_on_the_worker_count(self, monkeypatch, forks, decomposer):
+    def test_band_bytes_do_not_depend_on_the_worker_count(self, forks, cpus, decomposer):
         bands = []
         for k in (1, 2, 3):
-            _cpus(monkeypatch, k)
+            cpus(k)
             bands.append(_band_bytes(white_noise_band(512, decomposer, 50, seed=4,
                                                       sample_rate=2.0)))
         assert len(forks) == 0 + 1 + 2
         assert bands[1] == bands[0] and bands[2] == bands[0]
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("trial, error", [(49, RankDeficiencyError(7)),
                                               (0, RankDeficiencyError(7)),
                                               (0, KeyboardInterrupt())])
-    def test_failed_trial_raises_as_in_a_serial_run(self, monkeypatch, forks, trial, error):
+    def test_failed_trial_raises_as_in_a_serial_run(self, monkeypatch, forks, cpus, trial,
+                                                    error):
         # Trial 49 falls in the last share, trial 0 in this process's own.
         # When this process fails first, the child stuck on trial 49 is
         # stopped, not waited for.
@@ -155,33 +131,33 @@ class TestForkedBand:
         raised = []
         start = time.monotonic()
         for k in (1, 2, 3):
-            _cpus(monkeypatch, k)
+            cpus(k)
             with pytest.raises(type(error)) as exc:
                 white_noise_band(512, Variant.EMD, 50)
             raised.append((type(exc.value), str(exc.value)))
         assert time.monotonic() - start < 30
         assert len(forks) == 3 and raised == [(type(error), str(error))] * 3
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("length, trials, forked", [(10_000, 50, 1), (10_001, 50, 0),
                                                          (128, 64, 0), (128, 65, 1)])
     def test_forks_only_below_the_blas_threshold_and_past_one_batch(
-            self, monkeypatch, forks, length, trials, forked):
+            self, forks, cpus, length, trials, forked):
         # At 128 samples a lockstep batch holds 64 rows.
-        _cpus(monkeypatch, 2)
+        cpus(2)
         white_noise_band(length, trials=trials, cfg=SiftConfig(max_imfs=1, max_sift_iterations=1))
         assert len(forks) == forked
 
     @pytest.mark.parametrize("decomposer", [Variant.EEMD, Variant.MEMD, Variant.EPMEMD])
-    def test_unsupported_decomposer_rejected_before_any_fork(self, monkeypatch, forks,
+    def test_unsupported_decomposer_rejected_before_any_fork(self, forks, cpus,
                                                              decomposer):
-        _cpus(monkeypatch, 2)
+        cpus(2)
         with pytest.raises(ValueError, match=f"^unsupported decomposer {decomposer}$"):
             white_noise_band(1024, decomposer)
         assert forks == []
 
-    def test_no_fork_while_another_thread_runs(self, monkeypatch, forks):
-        _cpus(monkeypatch, 2)
+    def test_no_fork_while_another_thread_runs(self, forks, cpus):
+        cpus(2)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
