@@ -27,7 +27,7 @@ def worker_count(length: int, shares: int) -> int:
     1 where fork is missing, unsafe (another thread runs) or does not pay."""
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and length <= MAX_LENGTH and threading.active_count() == 1):
-        return max(1, min(len(os.sched_getaffinity(0)), shares))
+        return min(len(os.sched_getaffinity(0)), shares)
     return 1
 
 
@@ -52,8 +52,14 @@ class Pipe:
             raise self._died() from None
 
     def recv(self):
-        """The next object; EOFError once the other end is closed."""
-        return pickle.load(self._in)
+        """The next object; an exception that was sent is raised here."""
+        try:
+            out = pickle.load(self._in)
+        except EOFError:
+            raise self._died() from None
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     def reply(self, fn, *args) -> None:
         """Send ``fn(*args)``, or the exception it raised."""
@@ -62,16 +68,6 @@ class Pipe:
         except Exception as exc:
             out = exc
         self.send(out)
-
-    def result(self):
-        """The child's next reply; an exception it sent is raised here."""
-        try:
-            out = self.recv()
-        except EOFError:
-            raise self._died() from None
-        if isinstance(out, Exception):
-            raise out
-        return out
 
     def _died(self) -> ChildProcessError:
         return ChildProcessError(f"forked process {self.pid} died")

@@ -257,7 +257,7 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
     for pipe in helpers:  # every helper replies, so all stay in step
         pipe.send((acc, used))
         try:
-            acc, used = pipe.result()
+            acc, used = pipe.recv()
         except Exception as exc:
             failed = failed or exc
     if failed is not None:

@@ -102,7 +102,7 @@ def _pooled_points(trials: int, length: int, *args) -> list[tuple[float, float]]
     with _fork.forked(serve, rest) as children:
         points = _trial_points(own, length, *args)
         for child in children:
-            points += child.result()
+            points += child.recv()
     return points
 
 
