@@ -22,7 +22,8 @@ CFG = SiftConfig(max_imfs=3, max_sift_iterations=4)
 
 #: (directions K, samples n, channels): K x n x channels from 2^13 to 2^18.
 CASES = [(8, 512, 2), (2, 1024, 4), (4, 1024, 4), (8, 1024, 4), (16, 1024, 4),
-         (64, 256, 4), (32, 1024, 4), (64, 1024, 4), (16, 2048, 2), (64, 4096, 2)]
+         (64, 256, 4), (16, 2048, 2), (32, 1024, 4), (128, 256, 4), (64, 1024, 2),
+         (64, 1024, 4), (64, 4096, 2)]
 
 
 def signal(n, channels):

@@ -12,6 +12,7 @@ univariate extrema/zero-crossing condition is not imposed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -44,9 +45,10 @@ DEGENERATE_PROJECTION_THRESHOLD = 1e-10
 NEGLIGIBLE_RESIDUE_THRESHOLD = 1e-12
 
 #: Fewest projected samples (directions x samples x channels) per mean
-#: envelope for which forked helpers share the directions: below it a
-#: forked decomposition was no faster than a serial one.
-_FORK_MIN_WORK = 2**16
+#: envelope for which forked helpers share the directions: the smallest
+#: size at which every case of ``benchmarks/memd_fork_sweep.py`` was faster
+#: forked in every sweep.
+_FORK_MIN_WORK = 2**17
 
 
 @dataclass(frozen=True)
@@ -229,32 +231,57 @@ def _serve_directions(directions: np.ndarray, pipe, share: range) -> None:
         pipe.send(means)
 
 
+@dataclass(frozen=True)
+class _Shares:
+    """The caller's share of ``directions`` and the pipes to the forked
+    helpers that take the following shares, in direction order."""
+
+    directions: np.ndarray
+    own: range
+    pipes: list
+
+
+@contextmanager
+def _forked_shares(dirs: DirectionSet, workers: int):
+    """``dirs`` cut into ``workers`` shares: the first for the caller, one
+    forked helper for each other, all gone on exit."""
+    own, *rest = _fork.shares(dirs.count, workers)
+    with _fork.forked(partial(_serve_directions, dirs.directions), rest) as pipes:
+        yield _Shares(dirs.directions, own, pipes)
+
+
 def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
-                               helpers=()) -> np.ndarray:
+                               helpers: _Shares | None = None) -> np.ndarray:
     """Direction-averaged mean of the multidimensional upper and lower
     envelopes, as an (n, n_channels) array.
 
     Directions whose projection lacks two maxima or two minima are
     skipped; if every direction is skipped the signal has no envelope.
-    ``helpers`` are the pipes to the forked helpers of ``_multivariate_modes``:
-    each takes the means of the next contiguous share of the directions,
-    and the sum passes through them in direction order, so the result is
-    bit for bit the serial one.
+    ``helpers`` are the direction shares of ``_forked_shares``: each helper
+    takes the means of its share while the caller takes its own, and the
+    sum passes through them in direction order, so the result is bit for
+    bit the serial one.
     """
     if dirs.directions.shape[1] != x.n_channels:
         raise DimensionMismatchError(f"directions need {x.n_channels} coordinates")
+    if helpers is None:
+        own, pipes = range(dirs.count), ()
+    elif helpers.directions is dirs.directions:
+        own, pipes = helpers.own, helpers.pipes
+    else:
+        raise ValueError("the helpers share out other directions")
     data = x.as_array()
-    for pipe in helpers:
+    for pipe in pipes:
         pipe.send(data)
     acc = np.zeros_like(data)
     used, failed = 0, None
-    try:  # the first share of the directions
-        for m in _direction_means(data, dirs.directions[:dirs.count // (len(helpers) + 1)]):
+    try:
+        for m in _direction_means(data, dirs.directions[own.start:own.stop]):
             acc += m
             used += 1
     except Exception as exc:
         failed = exc
-    for pipe in helpers:  # every helper replies, so all stay in step
+    for pipe in pipes:  # every helper replies, so all stay in step
         pipe.send((acc, used))
         try:
             acc, used = pipe.recv()
@@ -268,7 +295,7 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
 
 
 def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
-                                  cfg: SiftConfig, helpers=()):
+                                  cfg: SiftConfig, helpers: _Shares | None = None):
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
     the stoppage ratio holds. Returns (mode, residue); raises
     NoEnvelopeError when ``x`` has no envelope or the mode is rounding
@@ -316,8 +343,7 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.abs(data).max()), np.finfo(float).tiny)
 
     workers = _fork.worker_count(x.n, K if K * x.n * x.n_channels >= _FORK_MIN_WORK else 1)
-    with _fork.forked(partial(_serve_directions, dirs.directions),
-                      _fork.shares(K, workers)[1:]) as helpers:
+    with _forked_shares(dirs, workers) as helpers:
 
         def extract(work):
             if float(np.abs(work.as_array()).max()) <= floor:

@@ -1,7 +1,5 @@
 import sys
 import threading
-from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from emdkit import (
     memd,
     multivariate_mean_envelope,
 )
-from emdkit import _fork
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
 from conftest import fft_peak_hz, no_child_left, sine
 
@@ -277,21 +274,13 @@ def _component_bytes(d):
     return b"".join(c.samples.tobytes() for m in d.imfs + (d.residue,) for c in m.channels)
 
 
-@contextmanager
-def _helpers(dirs, workers):
-    """Pipes to forked helpers of ``dirs``, as ``_multivariate_modes`` starts them."""
-    with _fork.forked(partial(memd_module._serve_directions, dirs.directions),
-                      _fork.shares(dirs.count, workers)[1:]) as pipes:
-        yield pipes
-
-
 def _planar(angles):
     return DirectionSet(np.column_stack((np.cos(angles), np.sin(angles))))
 
 
 class TestForkedDirections:
     # multitone4 has 4 channels of 1,024 samples, so K = 33 and K = 64 are
-    # both past the 2^16 projected samples from which helpers start.
+    # both past the 2^17 projected samples from which helpers start.
 
     @pytest.mark.parametrize("K", [64, 33])
     @pytest.mark.parametrize("decompose", [memd, epmemd])
@@ -313,8 +302,8 @@ class TestForkedDirections:
         x = MultivariateSignal((s, -1.0 * s))
         dirs = _planar(np.r_[np.linspace(0.1, 1.2, 4), np.full(4, np.pi / 4)])
         want = multivariate_mean_envelope(x, dirs)
-        with _helpers(dirs, 2) as pipes:
-            assert multivariate_mean_envelope(x, dirs, pipes).tobytes() == want.tobytes()
+        with memd_module._forked_shares(dirs, 2) as helpers:
+            assert multivariate_mean_envelope(x, dirs, helpers).tobytes() == want.tobytes()
         no_child_left()
 
     def test_no_envelope_when_every_share_is_skipped(self):
@@ -322,12 +311,23 @@ class TestForkedDirections:
         cancelling = MultivariateSignal((s, -1.0 * s))
         dirs = _planar(np.full(9, np.pi / 4))
         other = MultivariateSignal((s, sine(6.0, 256.0, 1.0)))
-        with _helpers(dirs, 3) as pipes:
+        with memd_module._forked_shares(dirs, 3) as helpers:
             with pytest.raises(NoEnvelopeError, match="^no direction projection"):
-                multivariate_mean_envelope(cancelling, dirs, pipes)
+                multivariate_mean_envelope(cancelling, dirs, helpers)
             # Every helper answered, so the next envelope is exchanged in step.
-            got = multivariate_mean_envelope(other, dirs, pipes)
+            got = multivariate_mean_envelope(other, dirs, helpers)
         assert got.tobytes() == multivariate_mean_envelope(other, dirs).tobytes()
+        no_child_left()
+
+    def test_helpers_of_other_directions_are_refused(self):
+        s = sine(4.0, 256.0, 1.0)
+        x = MultivariateSignal((s, sine(6.0, 256.0, 1.0)))
+        dirs = _planar(np.linspace(0.1, 3.0, 8))
+        with memd_module._forked_shares(dirs, 2) as helpers:
+            with pytest.raises(ValueError, match="^the helpers share out other directions$"):
+                multivariate_mean_envelope(x, _planar(np.linspace(0.1, 3.0, 8)), helpers)
+            got = multivariate_mean_envelope(x, dirs, helpers)
+        assert got.tobytes() == multivariate_mean_envelope(x, dirs).tobytes()
         no_child_left()
 
     @pytest.mark.parametrize("decompose", [memd, epmemd])
@@ -338,7 +338,7 @@ class TestForkedDirections:
         # falls in a helper's share, with 2 CPUs and with 3.
         x = MultivariateSignal((sine(4.0, 256.0, 4.0, phase=np.pi / 2),
                                 sine(6.0, 256.0, 4.0, phase=np.pi / 2)))
-        dirs = _planar(np.r_[np.linspace(0.1, 1.4, 16), np.linspace(3.3, 4.6, 16)])
+        dirs = _planar(np.r_[np.linspace(0.1, 1.4, 32), np.linspace(3.3, 4.6, 32)])
         extrema = memd_module.detect_extrema
 
         def failing(p):
@@ -352,11 +352,11 @@ class TestForkedDirections:
         for k in (1, 2, 3):
             cpus(k)
             with pytest.raises(InvalidKnotsError) as exc:
-                decompose(x, 32, CAPPED)
+                decompose(x, 64, CAPPED)
             raised.append(str(exc.value))
         assert len(forks) == 3 and raised == [raised[0]] * 3
         data = x.as_array()
-        first = (np.ldexp(data, memd_module._unit_exponent(data)) @ dirs.directions[16])[0]
+        first = (np.ldexp(data, memd_module._unit_exponent(data)) @ dirs.directions[32])[0]
         assert raised[0] == f"projection starts at {float(first)!r}"
         no_child_left()
 
@@ -370,7 +370,7 @@ class TestForkedDirections:
 
     @pytest.mark.parametrize("n, K, channels, forked", [
         (10_000, 8, 2, 1), (10_001, 8, 2, 0),  # the BLAS threshold
-        (1024, 32, 2, 1), (1024, 31, 2, 0),  # 2^16 projected samples
+        (1024, 64, 2, 1), (1024, 63, 2, 0),  # 2^17 projected samples
         (512, 8, 2, 0),  # the benchmark's traced call
     ])
     def test_forks_only_below_the_blas_threshold_and_past_the_size_rule(
