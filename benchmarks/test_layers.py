@@ -1,7 +1,8 @@
 """Layer micro-benchmarks: extrema detection, the spline and envelope
 routines, one sift, a whole EMD and a whole MEMD, at the sizes the
 benchmark workloads use them and, for the univariate layers, at 16,384
-samples too.
+samples too; and the CLI's CSV formatting and parsing of a 16,384 x 15
+table, the shape of cli-roundtrip's imfs.csv.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # each case once
@@ -28,6 +29,7 @@ from emdkit import (
     multivariate_mean_envelope,
     sift_one_imf,
 )
+from emdkit import cli
 from emdkit.envelope import _LAYOUT_MEMO, _envelope_knots, _grid_pair
 
 N = 1024
@@ -129,3 +131,32 @@ def test_emd(benchmark, n):
     d = benchmark(emd, x)
     assert len(d.imfs) >= 5
     assert np.allclose(d.reconstruct().samples, x.samples, rtol=0, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def wide_csv():
+    """A time column and 14 noise channels at 16,384 rows, and its CSV text
+    formatted one value at a time."""
+    n = 16384
+    table = np.column_stack((np.arange(n) / 256.0,
+                             np.random.default_rng(15).standard_normal((n, 14))))
+    header = "time," + ",".join(f"imf{j}" for j in range(1, 15))
+    text = header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in table.tolist())
+    return table, header, text.encode()
+
+
+def test_csv_format(benchmark, tmp_path, wide_csv):
+    # Past the size rule: forked helpers format chunks besides the caller.
+    table, header, text = wide_csv
+    artifact = {"t.csv": cli._Table(header, list(table.T))}
+    benchmark(cli._write, tmp_path, artifact)
+    assert (tmp_path / "t.csv").read_bytes() == text
+
+
+def test_csv_parse(benchmark, tmp_path, wide_csv):
+    # Past the size rule: forked helpers parse spans besides the caller.
+    table, _, text = wide_csv
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    assert benchmark(cli._load_plain, path).tobytes() == table.tobytes()

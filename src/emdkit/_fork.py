@@ -1,7 +1,8 @@
 """Forked helper processes for work cut into independent shares.
 
 One rule says when forking may pay, and one protocol runs the children
-for every caller (the noise band's trial shares, MEMD's direction shares).
+for every caller (the noise band's trial shares, MEMD's direction shares,
+the CLI's CSV chunks and file spans).
 Each child talks to the caller through a pair of pipes, one pickled
 object at a time, replies with a result or the exception it raised, and
 leaves through ``os._exit``; the caller kills and reaps every child in
@@ -17,7 +18,9 @@ import threading
 from contextlib import contextmanager, suppress
 
 #: Longest signal worked on in forked children: past it OpenBLAS runs
-#: ``np.dot`` on its own threads, and a forked band ran 2-3x slower.
+#: ``np.dot`` on its own threads, and a forked band ran 2-3x slower. Text
+#: work (formatting and parsing CSV) calls no ``np.dot``, so its callers
+#: pass a length of 0.
 MAX_LENGTH = 10_000
 
 
@@ -27,7 +30,7 @@ def worker_count(length: int, shares: int) -> int:
     1 where fork is missing, unsafe (another thread runs) or does not pay."""
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and length <= MAX_LENGTH and threading.active_count() == 1):
-        return min(len(os.sched_getaffinity(0)), shares)
+        return max(1, min(len(os.sched_getaffinity(0)), shares))
     return 1
 
 

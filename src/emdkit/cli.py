@@ -16,17 +16,18 @@ no output directory.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 import warnings
 from array import array
-from collections.abc import Iterable
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
 
+from . import _fork
 from .core import (
     Decomposition,
     EmdkitError,
@@ -65,6 +66,12 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
+
+
+#: Values (rows times columns) of CSV text per process: a table or file of
+#: k times as many is formatted or parsed by up to k processes, one per CPU.
+#: Measured with ``benchmarks/cli_fork_sweep.py``; see the README.
+_FORK_SHARE_VALUES = 2**16
 
 
 def _open(path: Path):
@@ -111,11 +118,10 @@ def _read_lines(path: Path) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _load_plain(lines) -> np.ndarray | None:
-    """The data rows of a plain CSV, parsed by numpy's C reader: leading
-    blank and ``#`` lines, an optional header, then at least two rows of
-    one width and nothing else. None for any other file, which the line
-    reader then reads, so the two agree on every value and error."""
+def _head(lines):
+    """Skip a plain CSV's leading blank and ``#`` lines and its optional
+    header: (the data rows as lines, their width, the first one's length),
+    or None where the first non-blank line is not at least two fields."""
     for raw in lines:
         line = raw.strip()
         if line and not line.startswith("#"):
@@ -128,18 +134,77 @@ def _load_plain(lines) -> np.ndarray | None:
     try:
         list(map(float, fields))
     except ValueError:  # a header, classified as the line reader does
-        rows = lines
-    else:
-        rows = chain([raw], lines)
-    try:
+        return lines, len(fields), len(raw)
+    return chain([raw], lines), len(fields), len(raw)
+
+
+def _read_span(path: Path, width: int, span: tuple[int, int | None]) -> np.ndarray:
+    """The data rows of bytes ``start`` to ``end`` of a CSV (None: the end
+    of the file), which start at a line, parsed by numpy's C reader; the
+    first span's leading lines are skipped as ``_load_plain`` skips them.
+    ``ValueError`` for any line it rejects and for rows of another width."""
+    start, end = span
+    with path.open("rb") as file:
+        file.seek(start)
+        lines = io.TextIOWrapper(file if end is None else io.BytesIO(file.read(end - start)),
+                                 encoding="utf-8-sig" if start == 0 else "utf-8")
+        if start == 0:
+            head = _head(lines)
+            if head is None:
+                raise ValueError("no data row in the first span")
+            lines = head[0]
         with warnings.catch_warnings():  # a header-only file holds no data
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != width:
+        raise ValueError(f"rows of {table.shape[1]} values, not {width}")
+    return table
+
+
+def _spans(path: Path, size: int, workers: int) -> list[tuple[int, int | None]] | None:
+    """``_read_span`` spans of a file of ``size`` bytes, cut just after a
+    ``\\n`` at or past each ``1/workers`` of it; None where a cut finds no
+    line end within 64 KiB or leaves the last span empty."""
+    cuts = [0]
+    with path.open("rb") as file:
+        for w in range(1, workers):
+            file.seek(max(size * w // workers, cuts[-1]))
+            if not file.readline(2**16).endswith(b"\n") or file.tell() >= size:
+                return None
+            cuts.append(file.tell())
+    return list(zip(cuts, cuts[1:] + [None]))
+
+
+def _load_plain(path: Path) -> np.ndarray | None:
+    """The data rows of a plain CSV, parsed by numpy's C reader: leading
+    blank and ``#`` lines, an optional header, then at least two rows of
+    one width and nothing else. None for any other file, which the line
+    reader then reads, so the two agree on every value and error.
+
+    A file of more values than ``_FORK_SHARE_VALUES`` (estimated from its
+    size and first data line) is cut at line ends into one span per
+    process: forked helpers parse the first spans, the caller the last,
+    and the spans' rows are joined in order, the values of one parse."""
+    try:
+        with _open(path) as lines:
+            head = _head(lines)
+        if head is None:
+            return None
+        _, width, length = head
+        size = path.stat().st_size
+        workers = _fork.worker_count(0, size * width // (length * _FORK_SHARE_VALUES))
+        *helper_spans, own = _spans(path, size, workers) or [(0, None)]
+
+        def serve(pipe, span):
+            pipe.reply(_read_span, path, width, span)
+
+        with _fork.forked(serve, helper_spans) as helpers:
+            table = _read_span(path, width, own)
+            if helpers:
+                table = np.concatenate([h.recv() for h in helpers] + [table])
     except ValueError:
         return None
-    if table.shape[1] != len(fields) or len(table) < 2:
-        return None
-    return table
+    return table if len(table) >= 2 else None
 
 
 def _read_table(path: Path) -> np.ndarray:
@@ -147,8 +212,7 @@ def _read_table(path: Path) -> np.ndarray:
     other (a mid-file comment or whitespace-only line, a value only
     ``float()`` accepts, a malformed row) is read again by the line
     reader, the only path that reports errors."""
-    with _open(path) as lines:
-        table = _load_plain(lines)
+    table = _load_plain(path)
     return _read_lines(path) if table is None else table
 
 
@@ -236,25 +300,60 @@ def _report_dict(x: SampledSignal, d: Decomposition) -> dict:
     }
 
 
-def _csv(header: str, columns, meta: dict | None = None):
-    """A CSV artifact as one string per block: the ``# key=value`` lines
-    and the header, then ``BLOCK`` rows at a time. Each row is formatted
-    with one format built from the first row, ``F`` for a number and
-    ``%s`` for a string. ``columns`` are equal-length arrays (object
-    arrays for strings) or sequences."""
-    yield "".join(f"# {key}={value}\n" for key, value in (meta or {}).items()) + header + "\n"
-    n = len(columns[0]) if columns else 0
-    fmt = None
-    for s in range(0, n, BLOCK):
+class _Table:
+    """A CSV artifact: ``head``, the ``# key=value`` lines and the header,
+    then ``chunks`` blocks of at most ``BLOCK`` rows. Each row is formatted
+    with one format built from the first row, ``F`` for a number and ``%s``
+    for a string. ``columns`` are equal-length arrays (object arrays for
+    strings) or sequences."""
+
+    def __init__(self, header: str, columns, meta: dict | None = None):
+        meta_lines = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+        self.head = meta_lines + header + "\n"
+        self.columns = columns
+        rows = len(columns[0]) if columns else 0
+        self.chunks = -(-rows // BLOCK)
+        self.values = rows * len(columns)
+        self._fmt = (",".join("%s" if isinstance(c[0], str) else F for c in columns) + "\n"
+                     if rows else "")
+
+    def chunk(self, k: int) -> str:
+        """Rows ``k * BLOCK`` up to ``(k + 1) * BLOCK``, as one string."""
+        s = k * BLOCK
         block = [c[s:s + BLOCK].tolist() if isinstance(c, np.ndarray) else c[s:s + BLOCK]
-                 for c in columns]
-        if fmt is None:
-            fmt = ",".join("%s" if isinstance(b[0], str) else F for b in block) + "\n"
-        yield "".join(map(fmt.__mod__, zip(*block)))
+                 for c in self.columns]
+        return "".join(map(self._fmt.__mod__, zip(*block)))
+
+
+def _write(out_dir: Path, artifacts: dict[str, _Table | str]) -> None:
+    """Write each artifact to ``out_dir``. The tables' chunks are dealt
+    round-robin to the caller and to forked helpers, one per further CPU
+    while the tables hold ``_FORK_SHARE_VALUES`` values per process; the
+    caller writes every chunk in row order, as it is formatted or arrives."""
+    tables = [a for a in artifacts.values() if isinstance(a, _Table)]
+    workers = _fork.worker_count(0, min(
+        max((t.chunks for t in tables), default=1),
+        sum(t.values for t in tables) // _FORK_SHARE_VALUES))
+
+    def serve(pipe, w):  # helper w formats chunks w, w + workers, ... of each table
+        for table in tables:
+            for k in range(w, table.chunks, workers):
+                pipe.reply(table.chunk, k)
+
+    with _fork.forked(serve, range(1, workers)) as helpers:
+        for name, artifact in artifacts.items():
+            with (out_dir / name).open("w") as file:
+                if isinstance(artifact, str):
+                    file.write(artifact)
+                    continue
+                file.write(artifact.head)
+                for k in range(artifact.chunks):
+                    w = k % workers
+                    file.write(helpers[w - 1].recv() if w else artifact.chunk(k))
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):
-    """``_csv`` arguments: time, then the components (then residue) as
+    """``_Table`` arguments: time, then the components (then residue) as
     columns, channel-minor, and the variant/dc-constant metadata."""
     variant = channels[0].variant.value
     comps = [c for parts in zip(*(d.components for d in channels)) for c in parts]
@@ -314,9 +413,9 @@ def run_decompose(args) -> int:
     if multivariate and bad:
         raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
 
-    # name -> blocks; every input is computed and checked before a file is made
-    artifacts: dict[str, Iterable[str]] = {}
-    artifacts["input.csv"] = _csv(
+    # name -> text; every input is computed and checked before a file is made
+    artifacts: dict[str, _Table | str] = {}
+    artifacts["input.csv"] = _Table(
         ",".join(["time"] + [f"ch{j + 1}" for j in range(signal.n_channels)]),
         [signal.channels[0].times, *(ch.samples for ch in signal.channels)])
 
@@ -324,7 +423,7 @@ def run_decompose(args) -> int:
     if args.post is not None:
         channels = tuple(orthogonal_variants(d, POST_VARIANTS[args.post]) for d in channels)
     if "imfs" in outputs:
-        artifacts["imfs.csv"] = _csv(*_component_table(channels, multivariate))
+        artifacts["imfs.csv"] = _Table(*_component_table(channels, multivariate))
     if "report" in outputs:
         reports = [_report_dict(x, d) for x, d in zip(signal.channels, channels)]
         payload = {"schema_version": SCHEMA_VERSION, "seed": seed}
@@ -332,7 +431,7 @@ def run_decompose(args) -> int:
             payload["channels"] = reports
         else:
             payload.update(reports[0])
-        artifacts["report.json"] = [json.dumps(payload, indent=2, allow_nan=False) + "\n"]
+        artifacts["report.json"] = json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
     x, d = signal.channels[0], channels[0]
     if "spectrum" in outputs or "marginal" in outputs:
@@ -344,16 +443,16 @@ def run_decompose(args) -> int:
             f, t, e = h.cells  # each bin label formatted once, not once per cell
             freq, time = (np.array([F % v for v in bins.tolist()], dtype=object)
                           for bins in (h.freq_bins, h.time_bins))
-            artifacts["spectrum.csv"] = _csv("freq_bin,time_bin,energy", [freq[f], time[t], e])
+            artifacts["spectrum.csv"] = _Table("freq_bin,time_bin,energy", [freq[f], time[t], e])
         if "marginal" in outputs:
-            artifacts["marginal.csv"] = _csv("freq,energy", [h.freq_bins, h.marginal])
+            artifacts["marginal.csv"] = _Table("freq,energy", [h.freq_bins, h.marginal])
     if "significance" in outputs:
         band_variant = d.variant
         if band_variant in (Variant.EEMD, Variant.OIMF, Variant.FOUIMF):
             band_variant = Variant.EMD
         band = white_noise_band(x.n, band_variant, trials=100, seed=seed,
                                 sample_rate=x.sample_rate, cfg=scfg)
-        artifacts["significance.csv"] = _csv(
+        artifacts["significance.csv"] = _Table(
             "component,mean_period,energy_density,inside",
             list(zip(*((f"imf{i}", p.mean_period, p.energy_density,
                         "" if p.inside_bounds is None else str(p.inside_bounds).lower())
@@ -361,14 +460,12 @@ def run_decompose(args) -> int:
 
     if "sweep" in outputs:
         fs_list = list(range(args.fs_start, args.fs_stop + 1, args.fs_step))
-        artifacts["sweep.csv"] = _csv("fs,io_t_emd,io_t_epemd",
+        artifacts["sweep.csv"] = _Table("fs,io_t_emd,io_t_epemd",
                                     list(zip(*sweep_io_t(fs_list, scfg))))
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, blocks in artifacts.items():
-        with (out_dir / name).open("w") as file:
-            file.writelines(blocks)
+    _write(out_dir, artifacts)
     print(f"wrote {', '.join(sorted(artifacts))} to {out_dir}")
     return 0
 
@@ -378,10 +475,11 @@ def run_decompose(args) -> int:
 
 
 def _read_meta(path: Path) -> dict[str, str]:
-    """``# key=value`` comment lines of an emitted CSV."""
+    """The leading ``# key=value`` lines of an emitted CSV, the only place
+    its writer puts them: reading stops at the first other line."""
     with _open(path) as lines:
-        return {k.strip(): v.strip() for k, _, v in
-                (ln.lstrip("#").partition("=") for ln in lines if ln.startswith("#"))}
+        block = takewhile(lambda ln: ln.startswith("#"), lines)
+        return {k.strip(): v.strip() for k, _, v in (ln.lstrip("#").partition("=") for ln in block)}
 
 
 def _channel_checks(x: SampledSignal, d: Decomposition):

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -21,8 +23,8 @@ from emdkit import (
     white_noise_band,
 )
 from emdkit import cli
-from emdkit.cli import BLOCK, CliError, _csv, main, read_signal_csv
-from conftest import dense_grid, sine, traced_peak_mb
+from emdkit.cli import BLOCK, CliError, _Table, main, read_signal_csv
+from conftest import dense_grid, no_child_left, sine, traced_peak_mb
 
 
 def write_csv(path, signals, header=True):
@@ -144,11 +146,10 @@ class TestReadSignalCsv:
         text, fast = self.READER_CASES[name]
         p = tmp_path / "in.csv"
         p.write_bytes(text.encode())
-        with p.open() as lines:
-            assert (cli._load_plain(lines) is not None) == fast
+        assert (cli._load_plain(p) is not None) == fast
         assert self.outcome(cli._read_table, p) == self.outcome(cli._read_lines, p)
         new = self.outcome(read_signal_csv, p)
-        monkeypatch.setattr(cli, "_load_plain", lambda lines: None)
+        monkeypatch.setattr(cli, "_load_plain", lambda path: None)
         assert new == self.outcome(read_signal_csv, p)
 
     def test_plain_files_take_the_c_reader(self, tmp_path, monkeypatch, capsys):
@@ -184,8 +185,7 @@ class TestReadSignalCsv:
         # A plain file goes to numpy's reader, a mid-file comment to the line reader.
         p = tmp_path / "bom.csv"
         p.write_bytes(f"\ufeff{header}0,1\n1,2\n{comment}2,3\n3,4\n".encode())
-        with cli._open(p) as lines:
-            assert (cli._load_plain(lines) is not None) == plain
+        assert (cli._load_plain(p) is not None) == plain
         x, = read_signal_csv(p).channels
         assert x.samples.tolist() == [1.0, 2.0, 3.0, 4.0] and x.t0 == 0.0
 
@@ -221,7 +221,8 @@ class TestArtifactWriter:
                    wide)
         expected = "# variant=EMD\na,b,c,d,e,f\n" + "".join(",".join(
             v if isinstance(v, str) else "%.17g" % v for v in row) + "\n" for row in rows)
-        blocks = list(_csv("a,b,c,d,e,f", columns, {"variant": "EMD"}))
+        table = _Table("a,b,c,d,e,f", columns, {"variant": "EMD"})
+        blocks = [table.head] + [table.chunk(k) for k in range(table.chunks)]
         # The meta and header lines, then one string per BLOCK rows.
         assert [b.count("\n") for b in blocks] == [2] + [
             min(BLOCK, n - s) for s in range(0, n, BLOCK)]
@@ -755,5 +756,172 @@ class TestVerify:
         assert main(["verify", str(out)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_comment_after_the_header_is_no_metadata(self, two_tone_csv, tmp_path, capsys):
+        # The writer puts `# key=value` lines before the header only; a later
+        # one is a comment, skipped with the data.
+        out = self.run_pipeline(two_tone_csv, tmp_path)
+        path = out / "imfs.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        lines.insert(header + 1, "# variant=ROIMF\n")
+        path.write_text("".join(lines))
+        assert cli._read_meta(path)["variant"] == "EMD"
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "FAIL" not in printed and "pairwise orthogonality" not in printed
+
     def test_missing_artifacts(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 1
+
+
+def wide_csv(path, rows=16384, newline="\n", bom=False, bad_row=None):
+    """A header, then rows of time and 14 noise channels: past the size
+    rule, so parsed by forked helpers besides the caller on more than one
+    CPU. ``bad_row`` puts an unparsable value into that data row."""
+    table = np.column_stack((np.arange(rows) / 1000.0,
+                             np.random.default_rng(rows).standard_normal((rows, 14))))
+    lines = ["time," + ",".join(f"ch{j}" for j in range(1, 15))]
+    lines += [",".join("%.17g" % v for v in row) for row in table.tolist()]
+    if bad_row is not None:
+        fields = lines[1 + bad_row].split(",")
+        lines[1 + bad_row] = ",".join([fields[0], "oops", *fields[2:]])
+    path.write_bytes(("\ufeff" if bom else "").encode()
+                     + "".join(line + newline for line in lines).encode())
+    return table
+
+
+@pytest.fixture
+def noise_csv(tmp_path):
+    """16,384 rows of white noise, one channel."""
+    v = np.random.default_rng(4).standard_normal(16384)
+    p = tmp_path / "in.csv"
+    p.write_text("time,x\n" + "".join(f"{k / 1000.0!r},{x!r}\n"
+                                      for k, x in enumerate(v.tolist())))
+    return p
+
+
+class TestForkedText:
+    """Artifacts formatted and CSVs parsed by forked helpers as well as the
+    caller: the bytes and values of a serial run, for any CPU count."""
+
+    DECOMPOSE = ["--post", "roimf", "--out", "imfs,report,spectrum,marginal"]
+
+    def test_same_bytes_and_values_on_any_cpu_count(self, tmp_path, noise_csv, cpus, forks,
+                                                     capsys):
+        p = noise_csv
+        artifacts, tables = [], []
+        for k in (1, 2, 3):
+            cpus(k)
+            del forks[:]
+            out = tmp_path / f"cpus{k}"
+            assert main(["decompose", "--input", str(p), *self.DECOMPOSE,
+                         "--output-dir", str(out)]) == 0
+            artifacts.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            tables.append([[(c.samples.tobytes(), c.sample_rate, c.t0)
+                            for c in read_signal_csv(out / name).channels]
+                           for name in ("imfs.csv", "input.csv")])
+            tables[-1].append(cli._read_table(out / "spectrum.csv").tobytes())
+            # Helpers format the artifacts and parse imfs.csv and spectrum.csv.
+            assert len(forks) == 3 * (k - 1)
+            no_child_left()
+        assert sorted(artifacts[0]) == ["imfs.csv", "input.csv", "marginal.csv",
+                                        "report.json", "spectrum.csv"]
+        assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+
+    @pytest.mark.parametrize("bad_row", [3, 16383])
+    def test_malformed_value_gives_the_serial_error(self, tmp_path, cpus, forks, capsys,
+                                                    bad_row):
+        # Row 3 lies in a helper's span, row 16383 in the caller's (the last).
+        p = tmp_path / "bad.csv"
+        wide_csv(p, bad_row=bad_row)
+        cpus(2)
+        assert main(["decompose", "--input", str(p), "--output-dir", str(tmp_path / "out")]) == 1
+        assert len(forks) == 1
+        no_child_left()
+        err = capsys.readouterr().err
+        assert err == f"error: {p}:{bad_row + 2}: could not convert string to float: 'oops'\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_dead_writer_helper_is_an_io_error(self, tmp_path, noise_csv, cpus, monkeypatch,
+                                               capsys):
+        cpus(2)
+        caller, chunk = os.getpid(), cli._Table.chunk
+
+        def dies_in_helpers(table, k):
+            if os.getpid() != caller:
+                os._exit(0)
+            return chunk(table, k)
+
+        monkeypatch.setattr(cli._Table, "chunk", dies_in_helpers)
+        assert main(["decompose", "--input", str(noise_csv), *self.DECOMPOSE,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        no_child_left()
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"i/o error: forked process \d+ died\n", err)
+
+    def test_dead_reader_helper_is_an_io_error(self, tmp_path, cpus, monkeypatch, capsys):
+        cpus(2)
+        caller, read_span = os.getpid(), cli._read_span
+
+        def dies_in_helpers(*args):
+            if os.getpid() != caller:
+                os._exit(0)
+            return read_span(*args)
+
+        monkeypatch.setattr(cli, "_read_span", dies_in_helpers)
+        p = tmp_path / "in.csv"
+        wide_csv(p)
+        assert main(["decompose", "--input", str(p), "--output-dir", str(tmp_path / "out")]) == 3
+        no_child_left()
+        assert re.fullmatch(r"i/o error: forked process \d+ died\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("newline, bom, forked", [
+        ("\r\n", False, True), ("\r", False, False), ("\n", True, True)])
+    def test_line_endings_and_byte_order_mark(self, tmp_path, cpus, forks, newline, bom,
+                                              forked):
+        # A CR-only file has no "\n" to cut at, so the caller parses it alone.
+        p = tmp_path / "in.csv"
+        table = wide_csv(p, newline=newline, bom=bom)
+        cpus(2)
+        sig = read_signal_csv(p)
+        assert len(forks) == forked
+        no_child_left()
+        assert [c.samples.tobytes() for c in sig.channels] == [
+            table[:, j].tobytes() for j in range(1, 15)]
+        assert sig.channels[0].t0 == 0.0
+
+    def test_no_fork_below_the_size_rule(self, tmp_path, cpus, forks, capsys):
+        # 16,384 rows x 2 columns, and every artifact of this decompose,
+        # hold fewer than two shares of values.
+        cpus(2)
+        p = tmp_path / "in.csv"
+        write_csv(p, [SampledSignal(np.random.default_rng(2).standard_normal(16384), 1000.0)])
+        read_signal_csv(p)
+        assert main(["decompose", "--input", str(p), "--max-imfs", "2",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert forks == []
+        p = tmp_path / "wide.csv"
+        wide_csv(p)
+        read_signal_csv(p)
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, noise_csv, cpus, forks, capsys):
+        cpus(2)
+        p = tmp_path / "wide.csv"
+        table = wide_csv(p)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            sig = read_signal_csv(p)
+            assert main(["decompose", "--input", str(noise_csv), *self.DECOMPOSE,
+                         "--output-dir", str(tmp_path / "out")]) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert sig.channels[0].samples.tobytes() == table[:, 1].tobytes()
