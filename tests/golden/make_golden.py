@@ -3,8 +3,10 @@
 Runs ``emdkit decompose`` in-process for every generator preset x
 algorithm x ``--post`` combination the command line accepts, then
 ``emdkit verify`` on the result, and records per case the SHA-256 of
-``imfs.csv`` and ``report.json``, verify's exit code and its PASS/FAIL
-check names in ``digests.json`` next to this script.
+``imfs.csv`` and ``report.json`` (and, for a univariate algorithm, of
+the Hilbert spectrum's ``spectrum.csv`` and ``marginal.csv``), verify's
+exit code and its PASS/FAIL check names in ``digests.json`` next to this
+script.
 
     python tests/golden/make_golden.py                  # regenerate every entry
     python tests/golden/make_golden.py --match 'memd'   # regenerate matching entries only
@@ -40,7 +42,10 @@ from emdkit.cli import (  # noqa: E402
 )
 
 DIGESTS = HERE / "digests.json"
-COMMON = ["--seed", "7", "--ensemble-size", "4", "--out", "imfs,report"]
+COMMON = ["--seed", "7", "--ensemble-size", "4"]
+#: ``--out`` item -> the artifact file it writes.
+ARTIFACTS = {"imfs": "imfs.csv", "report": "report.json",
+             "spectrum": "spectrum.csv", "marginal": "marginal.csv"}
 
 
 def cases() -> dict[str, list[str]]:
@@ -56,6 +61,8 @@ def cases() -> dict[str, list[str]]:
             for post in posts:
                 argv = ["--gen", preset, "--algo", algo, *COMMON]
                 argv += ["--directions", "8", "--max-imfs", "3"] if multivariate else ["--directions", "16"]
+                argv += ["--out", "imfs,report" if algo in MULTIVARIATE_ALGOS
+                         else "imfs,report,spectrum,marginal"]
                 if post is not None:
                     argv += ["--post", post]
                 out["/".join(p for p in (preset, algo, post) if p)] = argv
@@ -74,7 +81,8 @@ def run_case(argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         code, _ = _quiet_main(["decompose", *argv, "--output-dir", tmp])
         record = {"decompose_exit": code}
-        for name in ("imfs.csv", "report.json"):
+        for out in argv[argv.index("--out") + 1].split(","):
+            name = ARTIFACTS[out]
             path = Path(tmp) / name
             record[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
         code, stdout = _quiet_main(["verify", tmp])
