@@ -3,10 +3,10 @@ amplitude/phase/frequency, the time-frequency energy cells and their
 marginal.
 
 The analytic signal is built in the frequency domain (double the
-positive frequencies, zero the negative ones, keep DC and Nyquist);
-instantaneous frequency comes from central differences of the unwrapped
-phase, with the quotient formula available as an alternate method for
-cross-checking.
+positive frequencies, zero the negative ones, keep DC and Nyquist) from
+numpy's real-input FFT; instantaneous frequency comes from central
+differences of the unwrapped phase, with the quotient formula available
+as an alternate method for cross-checking.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
 
 from .core import Decomposition, InsufficientDataError, SampledSignal, _unit_stack
 
@@ -41,10 +40,17 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
     if x.n < 8:
         raise InsufficientDataError("analytic signal needs at least 8 samples")
     (y,), k = _unit_stack(x.samples)
-    spec = fft(y)
+    # The spectrum a full complex FFT of y would give, built from the real
+    # FFT: the two agree bit for bit but for the zero imaginary part at DC
+    # and Nyquist, which the full transform writes as -0.0. The negative
+    # half is zero, so only the real FFT's bins are filled in.
+    spec = np.zeros(x.n, dtype=complex)
+    spec[:x.n // 2 + 1] = np.fft.rfft(y)
     spec[1:(x.n + 1) // 2] *= 2.0
-    spec[x.n // 2 + 1:] = 0.0
-    z = ifft(spec)
+    spec.imag[0] = -0.0
+    if x.n % 2 == 0:
+        spec.imag[x.n // 2] = -0.0
+    z = np.fft.ifft(spec)
     with np.errstate(over="ignore"):
         amplitude = np.ldexp(np.abs(z), -k)
     phase = np.unwrap(np.angle(z))

@@ -25,12 +25,37 @@ from emdkit import (
     hilbert_spectrum,
     spectral_ridge,
 )
+from emdkit.core import _unit_stack
+from emdkit.hsa import AnalyticAttributes
 from conftest import dense_grid, sine, traced_peak_mb
 
 
 def cos_signal(freq, rate, n):
     t = np.arange(n) / rate
     return SampledSignal(np.cos(2 * np.pi * freq * t), rate)
+
+
+def scipy_fft_analytic_signal(x, method):
+    """``analytic_signal`` as built on scipy.fft's full complex transform."""
+    from scipy.fft import fft, ifft  # reference only; the library avoids it
+
+    (y,), k = _unit_stack(x.samples)
+    spec = fft(y)
+    spec[1:(x.n + 1) // 2] *= 2.0
+    spec[x.n // 2 + 1:] = 0.0
+    z = ifft(spec)
+    with np.errstate(over="ignore"):
+        amplitude = np.ldexp(np.abs(z), -k)
+    phase = np.unwrap(np.angle(z))
+    if method == "phase_diff":
+        inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
+    else:
+        yh = z.imag
+        dy, dyh = np.gradient(y, x.dt), np.gradient(yh, x.dt)
+        denom = y**2 + yh**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inst_freq = np.where(denom > 0, (dyh * y - yh * dy) / denom, 0.0) / (2 * np.pi)
+    return AnalyticAttributes(amplitude, phase, inst_freq, x.sample_rate)
 
 
 def central(arr, fraction=0.8):
@@ -90,12 +115,45 @@ class TestAnalyticSignal:
         assert np.array_equal(a.amplitude, np.abs(z))
         assert np.array_equal(a.phase, np.unwrap(np.angle(z)))
 
+    @pytest.mark.parametrize("kind", ["noise", "sine 1e300", "sine 1e-300", "impulse"])
+    def test_matches_scipy_fft_build_bit_for_bit(self, kind):
+        # The library's real FFT against the full complex transform of
+        # scipy.fft, which it replaced: every output byte, both IF methods.
+        rng = np.random.default_rng(len(kind))
+        moved = []
+        for n in [*range(8, 301), 1500, 4097, 16384, 65537]:
+            if kind == "noise":
+                v = rng.standard_normal(n)
+            elif kind == "impulse":
+                v = np.zeros(n)
+                v[n // 3] = 1.0
+            else:
+                v = np.sin(0.3 * np.arange(n)) * float(kind.split()[1])
+            x = SampledSignal(v, 100.0)
+            for method in ("phase_diff", "quotient"):
+                got, want = analytic_signal(x, method), scipy_fft_analytic_signal(x, method)
+                if any(getattr(got, f).tobytes() != getattr(want, f).tobytes()
+                       for f in ("amplitude", "phase", "inst_freq")):
+                    moved.append((n, method))
+        assert moved == []
+
+    @staticmethod
+    def _fresh_process(code):
+        src = str(Path(emdkit.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
     def test_import_leaves_out_scipy_signal(self):
         code = ("import sys, emdkit, emdkit.cli; "
                 "sys.exit('scipy.signal' in sys.modules)")
-        src = str(Path(emdkit.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert self._fresh_process(code) == 0
+
+    def test_spectrum_leaves_out_scipy_fft_and_special(self):
+        code = ("import sys, numpy as np, emdkit, emdkit.cli; "
+                "x = emdkit.SampledSignal(np.sin(np.arange(512) / 5.0), 50.0); "
+                "emdkit.hilbert_spectrum(emdkit.emd(x)); "
+                "sys.exit(any(m in sys.modules for m in ('scipy.fft', 'scipy.special')))")
+        assert self._fresh_process(code) == 0
 
     def test_if_invariant_under_positive_scaling(self):
         x = cos_signal(15.0, 500.0, 1024)
