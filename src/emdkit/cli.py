@@ -412,6 +412,11 @@ def run_decompose(args) -> int:
     bad = set(outputs) - {"imfs", "report"}
     if multivariate and bad:
         raise CliError(f"outputs {sorted(bad)} require a univariate algorithm")
+    n = signal.channels[0].n  # the spectrum's grid is bounded by its input
+    for flag, bins, top in (("--freq-bins", args.freq_bins, max(256, n)),
+                            ("--time-bins", args.time_bins, n)):
+        if bins is not None and not 1 <= bins <= top:
+            raise CliError(f"{flag} must be between 1 and {top} for {n} samples, got {bins}")
 
     # name -> text; every input is computed and checked before a file is made
     artifacts: dict[str, _Table | str] = {}

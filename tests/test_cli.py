@@ -480,6 +480,10 @@ class TestErrors:
         ["--max-imfs", "-1"],
         ["--out", "spectrum", "--freq-bins", "0"],
         ["--out", "spectrum", "--time-bins", "0"],
+        ["--out", "marginal", "--freq-bins", "513"],
+        ["--out", "spectrum", "--time-bins", "513"],
+        ["--gen", "am", "--out", "marginal", "--freq-bins", "10000000"],
+        ["--gen", "am", "--time-bins", "1501"],
         ["--input", "one-column.csv"],
         ["--input", "one-row.csv"],
         ["--input", "nan.csv"],
@@ -533,7 +537,7 @@ class TestErrors:
         # A range error names the flag (the field, for a config's own check).
         named = {"--fs-step": "--fs-step", "--fs-start": "--fs-start",
                  "--directions": "--directions", "--noise-ratio": "noise_stddev_ratio",
-                 "--seed": "--seed"}
+                 "--seed": "--seed", "--freq-bins": "--freq-bins", "--time-bins": "--time-bins"}
         assert all(named[f] in err for f in flags if f in named)
         assert not env or "EMDKIT_SEED" in err
 
@@ -580,6 +584,30 @@ class TestErrors:
         assert main(["decompose", "--gen", "multitone4", "--algo", algo, "--directions", "0",
                      "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: --directions must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n, flag, top", [
+        (64, "--freq-bins", 256), (64, "--time-bins", 64),
+        (512, "--freq-bins", 512), (512, "--time-bins", 512),
+    ])
+    def test_bin_counts_bounded_by_the_input(self, tmp_path, monkeypatch, capsys, n, flag, top):
+        # Up to max(256, n) frequency and n time bins; one more exits 1
+        # before any decomposition, with no output directory.
+        p = tmp_path / "in.csv"
+        write_csv(p, [sine(4.0, 64.0, n / 64.0) + sine(12.0, 64.0, n / 64.0)])
+        argv = ["decompose", "--input", str(p), "--out", "spectrum,marginal"]
+        assert main([*argv, flag, str(top), "--output-dir", str(tmp_path / "ok")]) == 0
+        rows = {"--freq-bins": top, "--time-bins": 256}[flag]
+        assert len((tmp_path / "ok" / "marginal.csv").read_text().splitlines()) == rows + 1
+
+        def no_work(*args):
+            raise AssertionError("a signal was decomposed")
+
+        monkeypatch.setattr(cli, "emd", no_work)
+        capsys.readouterr()
+        assert main([*argv, flag, str(top + 1), "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"error: {flag} must be between 1 and {top}"
+                                           f" for {n} samples, got {top + 1}\n")
         assert not (tmp_path / "out").exists()
 
     def test_all_zero_signal(self, tmp_path, capsys):
