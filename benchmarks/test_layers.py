@@ -1,7 +1,8 @@
 """Layer micro-benchmarks: extrema detection, the spline and envelope
 routines, one sift, a whole EMD and a whole MEMD, at the sizes the
 benchmark workloads use them and, for the univariate layers, at 16,384
-samples too; and the CLI's CSV formatting and parsing of a 16,384 x 15
+samples too; the analytic signal and the Hilbert spectrum at 16,384
+samples; and the CLI's CSV formatting and parsing of a 16,384 x 15
 table, the shape of cli-roundtrip's imfs.csv.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
@@ -16,6 +17,7 @@ import pytest
 
 from emdkit import (
     SampledSignal,
+    analytic_signal,
     SiftConfig,
     SignalKind,
     SignalSpec,
@@ -25,11 +27,14 @@ from emdkit import (
     emd,
     generate_multitone4,
     hammersley_directions,
+    hilbert_spectrum,
     memd,
     multivariate_mean_envelope,
     sift_one_imf,
 )
 from emdkit import cli
+from emdkit import hsa
+from emdkit.core import _unit_stack
 from emdkit.envelope import _LAYOUT_MEMO, _envelope_knots, _grid_pair
 
 N = 1024
@@ -131,6 +136,38 @@ def test_emd(benchmark, n):
     d = benchmark(emd, x)
     assert len(d.imfs) >= 5
     assert np.allclose(d.reconstruct().samples, x.samples, rtol=0, atol=1e-10)
+
+
+def _scipy_fft_analytic_signal(x):
+    """``analytic_signal``'s default attributes from scipy.fft's full
+    complex transform, the build the real FFT replaced: reference bytes."""
+    from scipy.fft import fft, ifft
+
+    (y,), k = _unit_stack(x.samples)
+    spec = fft(y)
+    spec[1:(x.n + 1) // 2] *= 2.0
+    spec[x.n // 2 + 1:] = 0.0
+    z = ifft(spec)
+    phase = np.unwrap(np.angle(z))
+    return hsa.AnalyticAttributes(np.ldexp(np.abs(z), -k), phase,
+                                  np.gradient(phase, x.dt) / (2 * np.pi), x.sample_rate)
+
+
+def test_analytic_signal(benchmark):
+    x = SampledSignal(_noise(16384), 1.0)
+    got, want = benchmark(analytic_signal, x), _scipy_fft_analytic_signal(x)
+    for field in ("amplitude", "phase", "inst_freq"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_hilbert_spectrum(benchmark, monkeypatch):
+    d = emd(SampledSignal(_noise(16384), 1.0))
+    with monkeypatch.context() as mp:
+        mp.setattr(hsa, "analytic_signal", _scipy_fft_analytic_signal)
+        want = hilbert_spectrum(d)
+    got = benchmark(hilbert_spectrum, d)
+    assert [a.tobytes() for a in (*got.cells, got.marginal)] == \
+        [a.tobytes() for a in (*want.cells, want.marginal)]
 
 
 @pytest.fixture(scope="module")
