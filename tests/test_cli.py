@@ -480,10 +480,7 @@ class TestErrors:
         ["--max-imfs", "-1"],
         ["--out", "spectrum", "--freq-bins", "0"],
         ["--out", "spectrum", "--time-bins", "0"],
-        ["--out", "marginal", "--freq-bins", "513"],
-        ["--out", "spectrum", "--time-bins", "513"],
         ["--gen", "am", "--out", "marginal", "--freq-bins", "10000000"],
-        ["--gen", "am", "--time-bins", "1501"],
         ["--input", "one-column.csv"],
         ["--input", "one-row.csv"],
         ["--input", "nan.csv"],
