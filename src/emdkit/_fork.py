@@ -1,11 +1,12 @@
 """Forked helper processes for work cut into independent shares.
 
-One rule says when forking may pay, and one protocol runs the children
-for every caller (the noise band's trial shares, MEMD's direction shares,
-the CLI's CSV chunks and file spans).
+One rule says when forking may pay, and one in-order map, ``ordered``,
+runs the work of the noise band's lockstep batches and of the CLI's CSV
+spans and chunks. MEMD relays one running sum through its direction
+shares, so it runs its own protocol on ``forked``.
 Each child talks to the caller through a pair of pipes, one pickled
-object at a time, replies with a result or the exception it raised, and
-leaves through ``os._exit``; the caller kills and reaps every child in
+object at a time, sends a result or the exception it raised, and leaves
+through ``os._exit``; the caller kills and reaps every child in
 ``finally``, whether it returns or raises.
 """
 
@@ -64,14 +65,6 @@ class Pipe:
             raise out
         return out
 
-    def reply(self, fn, *args) -> None:
-        """Send ``fn(*args)``, or the exception it raised."""
-        try:
-            out = fn(*args)
-        except Exception as exc:
-            out = exc
-        self.send(out)
-
     def _died(self) -> ChildProcessError:
         return ChildProcessError(f"forked process {self.pid} died")
 
@@ -88,8 +81,16 @@ def forked(serve, shares):
     children: list[Pipe] = []
     try:
         for share in shares:
-            down, up = os.pipe(), os.pipe()
-            if (pid := os.fork()) == 0:  # the child never returns
+            down = up = ()
+            try:
+                down = os.pipe()
+                up = os.pipe()
+                pid = os.fork()
+            except BaseException:  # no child holds these pipes
+                for fd in down + up:
+                    os.close(fd)
+                raise
+            if pid == 0:  # the child never returns
                 try:
                     for pipe in children:
                         pipe.close()
@@ -107,3 +108,24 @@ def forked(serve, shares):
             pipe.close()
             os.kill(pipe.pid, signal.SIGKILL)
             os.waitpid(pipe.pid, 0)
+
+
+@contextmanager
+def ordered(fn, items, workers: int):
+    """Yields ``fn(item)`` for each of the sequence ``items``, in item order.
+    Item k runs in the caller when ``k % workers == 0``, and otherwise in
+    forked helper ``k % workers``, which sends each result, or the exception
+    it raised, as soon as it is made; an exception is raised at its own
+    item's place. Leaving the block kills and reaps every helper."""
+
+    def serve(pipe, w):
+        for item in items[w::workers]:
+            try:
+                out = fn(item)
+            except Exception as exc:
+                out = exc
+            pipe.send(out)
+
+    with forked(serve, range(1, workers)) as helpers:
+        yield (helpers[k % workers - 1].recv() if k % workers else fn(item)
+               for k, item in enumerate(items))

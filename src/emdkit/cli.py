@@ -22,7 +22,8 @@ import os
 import sys
 import warnings
 from array import array
-from itertools import chain, takewhile
+from functools import partial
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -183,8 +184,8 @@ def _load_plain(path: Path) -> np.ndarray | None:
 
     A file of more values than ``_FORK_SHARE_VALUES`` (estimated from its
     size and first data line) is cut at line ends into one span per
-    process: forked helpers parse the first spans, the caller the last,
-    and the spans' rows are joined in order, the values of one parse."""
+    process, parsed through ``_fork.ordered``, and the spans' rows are
+    joined in order, the values of one parse."""
     try:
         with _open(path) as lines:
             head = _head(lines)
@@ -193,15 +194,11 @@ def _load_plain(path: Path) -> np.ndarray | None:
         _, width, length = head
         size = path.stat().st_size
         workers = _fork.worker_count(0, size * width // (length * _FORK_SHARE_VALUES))
-        *helper_spans, own = _spans(path, size, workers) or [(0, None)]
-
-        def serve(pipe, span):
-            pipe.reply(_read_span, path, width, span)
-
-        with _fork.forked(serve, helper_spans) as helpers:
-            table = _read_span(path, width, own)
-            if helpers:
-                table = np.concatenate([h.recv() for h in helpers] + [table])
+        spans = _spans(path, size, workers) or [(0, None)]
+        with _fork.ordered(partial(_read_span, path, width), spans, len(spans)) as tables:
+            table, *rest = tables
+            if rest:
+                table = np.concatenate([table, *rest])
     except ValueError:
         return None
     return table if len(table) >= 2 else None
@@ -326,30 +323,23 @@ class _Table:
 
 
 def _write(out_dir: Path, artifacts: dict[str, _Table | str]) -> None:
-    """Write each artifact to ``out_dir``. The tables' chunks are dealt
-    round-robin to the caller and to forked helpers, one per further CPU
-    while the tables hold ``_FORK_SHARE_VALUES`` values per process; the
-    caller writes every chunk in row order, as it is formatted or arrives."""
+    """Write each artifact to ``out_dir``. Every table's chunks, in artifact
+    order, go through ``_fork.ordered``, one process per CPU while the tables
+    hold ``_FORK_SHARE_VALUES`` values per process; the caller writes every
+    chunk in row order, as it is formatted or arrives."""
     tables = [a for a in artifacts.values() if isinstance(a, _Table)]
     workers = _fork.worker_count(0, min(
         max((t.chunks for t in tables), default=1),
         sum(t.values for t in tables) // _FORK_SHARE_VALUES))
-
-    def serve(pipe, w):  # helper w formats chunks w, w + workers, ... of each table
-        for table in tables:
-            for k in range(w, table.chunks, workers):
-                pipe.reply(table.chunk, k)
-
-    with _fork.forked(serve, range(1, workers)) as helpers:
+    chunks = [(table, k) for table in tables for k in range(table.chunks)]
+    with _fork.ordered(lambda chunk: _Table.chunk(*chunk), chunks, workers) as texts:
         for name, artifact in artifacts.items():
             with (out_dir / name).open("w") as file:
                 if isinstance(artifact, str):
                     file.write(artifact)
                     continue
                 file.write(artifact.head)
-                for k in range(artifact.chunks):
-                    w = k % workers
-                    file.write(helpers[w - 1].recv() if w else artifact.chunk(k))
+                file.writelines(islice(texts, artifact.chunks))
 
 
 def _component_table(channels: tuple[Decomposition, ...], multivariate: bool):

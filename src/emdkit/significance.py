@@ -72,37 +72,19 @@ def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
     return ds if decomposer is Variant.EMD else [orthogonal_variants(d, decomposer) for d in ds]
 
 
-def _trial_points(trials: range, length: int, decomposer: Variant, seed: int,
-                  sample_rate: float, cfg: SiftConfig) -> list[tuple[float, float]]:
-    """(mean period, energy density) of each periodic component of ``trials``."""
+def _batch_points(length: int, decomposer: Variant, seed: int, sample_rate: float,
+                  cfg: SiftConfig, batch: range) -> list[tuple[float, float]]:
+    """(mean period, energy density) of each periodic component of the trials
+    of one lockstep ``batch``."""
+    rows = np.array([_trial_rng(seed, i).standard_normal(length) for i in batch])
     points = []
-    for batch in _row_batches(len(trials), length):
-        rows = np.array([_trial_rng(seed, trials[i]).standard_normal(length) for i in batch])
-        for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
-            for imf in d.imfs:
-                try:
-                    pt = imf_statistics(imf)
-                except PeriodUndefinedError:
-                    continue
-                points.append((pt.mean_period, pt.energy_density))
-    return points
-
-
-def _pooled_points(trials: int, length: int, *args) -> list[tuple[float, float]]:
-    """``_trial_points`` of ``range(trials)`` in one contiguous share per CPU:
-    the first here, each other one in a forked child that pickles its points
-    back. Rows come out bit for bit however they are batched, so the points
-    do not depend on the CPU count."""
-    workers = _fork.worker_count(length, len(_row_batches(trials, length)))
-    own, *rest = _fork.shares(trials, workers)
-
-    def serve(pipe, share):
-        pipe.reply(_trial_points, share, length, *args)
-
-    with _fork.forked(serve, rest) as children:
-        points = _trial_points(own, length, *args)
-        for child in children:
-            points += child.recv()
+    for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
+        for imf in d.imfs:
+            try:
+                pt = imf_statistics(imf)
+            except PeriodUndefinedError:
+                continue
+            points.append((pt.mean_period, pt.energy_density))
     return points
 
 
@@ -117,7 +99,9 @@ def white_noise_band(
     """Monte-Carlo 5th/95th percentile band for components of white noise.
 
     Deterministic given ``seed``; trial streams are derived from
-    (seed, trial index) so evaluation order does not matter.
+    (seed, trial index) so evaluation order does not matter. The lockstep
+    batches of trials go through ``_fork.ordered``, at most one process per
+    batch, and their points are pooled in trial order on any CPU count.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials")
@@ -126,8 +110,10 @@ def white_noise_band(
                          f"got {length}")
     if decomposer not in (Variant.EMD, Variant.EPEMD, *GRAM_SCHMIDT_VARIANTS):
         raise ValueError(f"unsupported decomposer {decomposer}")
-    periods, energies = np.array(_pooled_points(trials, length, decomposer, seed, sample_rate,
-                                                 cfg)).reshape(-1, 2).T
+    batches = _row_batches(trials, length)
+    with _fork.ordered(partial(_batch_points, length, decomposer, seed, sample_rate, cfg),
+                       batches, _fork.worker_count(length, len(batches))) as points:
+        periods, energies = np.array([p for ps in points for p in ps]).reshape(-1, 2).T
     log_p = np.log2(periods)
     e = energies
     lo_edge = np.floor(log_p.min())

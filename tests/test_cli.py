@@ -858,7 +858,8 @@ class TestForkedText:
     @pytest.mark.parametrize("bad_row", [3, 16383])
     def test_malformed_value_gives_the_serial_error(self, tmp_path, cpus, forks, capsys,
                                                     bad_row):
-        # Row 3 lies in a helper's span, row 16383 in the caller's (the last).
+        # Row 3 lies in the caller's span (the first), row 16383 in the
+        # helper's.
         p = tmp_path / "bad.csv"
         wide_csv(p, bad_row=bad_row)
         cpus(2)

@@ -99,7 +99,8 @@ def _band_bytes(band):
 
 class TestForkedBand:
     # 50 trials at 512 samples make 4 lockstep batches of 16 rows, so up
-    # to 4 workers each get a share.
+    # to 4 workers share them: batch k goes to process k mod W, where the
+    # caller is process 0.
 
     @pytest.mark.parametrize("decomposer", (Variant.EMD, Variant.EPEMD) + GRAM_SCHMIDT_VARIANTS)
     def test_band_bytes_do_not_depend_on_the_worker_count(self, forks, cpus, decomposer):
@@ -112,18 +113,18 @@ class TestForkedBand:
         assert bands[1] == bands[0] and bands[2] == bands[0]
         no_child_left()
 
-    @pytest.mark.parametrize("trial, error", [(49, RankDeficiencyError(7)),
+    @pytest.mark.parametrize("trial, error", [(31, RankDeficiencyError(7)),
                                               (0, RankDeficiencyError(7)),
                                               (0, KeyboardInterrupt())])
     def test_failed_trial_raises_as_in_a_serial_run(self, monkeypatch, forks, cpus, trial,
                                                     error):
-        # Trial 49 falls in the last share, trial 0 in this process's own.
-        # When this process fails first, the child stuck on trial 49 is
-        # stopped, not waited for.
+        # Trial 31 falls in batch 1, a helper's at 2 and at 3 CPUs; trial 0
+        # in batch 0, this process's own. When this process fails first,
+        # the helper stuck on trial 31 is stopped, not waited for.
         def failing_rng(seed, t):
             if t == trial:
                 raise error
-            if t == 49:
+            if t == 31:
                 time.sleep(60)
             return _trial_rng(seed, t)
 
