@@ -160,8 +160,9 @@ def test_analytic_signal(benchmark):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
-def test_hilbert_spectrum(benchmark, monkeypatch):
-    d = emd(SampledSignal(_noise(16384), 1.0))
+@pytest.mark.parametrize("n", [16384, 262144])
+def test_hilbert_spectrum(benchmark, monkeypatch, n):
+    d = emd(SampledSignal(_noise(n), 1.0))
     with monkeypatch.context() as mp:
         mp.setattr(hsa, "analytic_signal", _scipy_fft_analytic_signal)
         want = hilbert_spectrum(d)

@@ -302,24 +302,24 @@ class _Table:
     then ``chunks`` blocks of at most ``BLOCK`` rows. Each row is formatted
     with one format built from the first row, ``F`` for a number and ``%s``
     for a string. ``columns`` are equal-length arrays (object arrays for
-    strings) or sequences."""
+    strings) or sequences; the first ``len(labels)`` index ``labels``."""
 
-    def __init__(self, header: str, columns, meta: dict | None = None):
+    def __init__(self, header: str, columns, meta: dict | None = None, labels=()):
         meta_lines = "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
         self.head = meta_lines + header + "\n"
-        self.columns = columns
+        self.columns, self.labels = columns, labels
         rows = len(columns[0]) if columns else 0
         self.chunks = -(-rows // BLOCK)
         self.values = rows * len(columns)
-        self._fmt = (",".join("%s" if isinstance(c[0], str) else F for c in columns) + "\n"
-                     if rows else "")
+        self._fmt = (",".join("%s" if j < len(labels) or isinstance(c[0], str) else F
+                              for j, c in enumerate(columns)) + "\n" if rows else "")
 
     def chunk(self, k: int) -> str:
         """Rows ``k * BLOCK`` up to ``(k + 1) * BLOCK``, as one string."""
-        s = k * BLOCK
-        block = [c[s:s + BLOCK].tolist() if isinstance(c, np.ndarray) else c[s:s + BLOCK]
-                 for c in self.columns]
-        return "".join(map(self._fmt.__mod__, zip(*block)))
+        block = [c[k * BLOCK:(k + 1) * BLOCK] for c in self.columns]
+        block[:len(self.labels)] = map(np.take, self.labels, block)
+        return "".join(map(self._fmt.__mod__, zip(*(
+            b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
 
 
 def _write(out_dir: Path, artifacts: dict[str, _Table | str]) -> None:
@@ -434,11 +434,10 @@ def run_decompose(args) -> int:
             raise CliError("spectrum output needs at least one IMF")
         h = hilbert_spectrum(d, n_freq_bins=args.freq_bins,
                              n_time_bins=args.time_bins)
-        if "spectrum" in outputs:  # non-zero cells, frequency-major
-            f, t, e = h.cells  # each bin label formatted once, not once per cell
-            freq, time = (np.array([F % v for v in bins.tolist()], dtype=object)
-                          for bins in (h.freq_bins, h.time_bins))
-            artifacts["spectrum.csv"] = _Table("freq_bin,time_bin,energy", [freq[f], time[t], e])
+        if "spectrum" in outputs:  # non-zero cells, frequency-major; bin labels formatted once
+            labels = [np.array([F % v for v in b.tolist()], dtype=object)
+                      for b in (h.freq_bins, h.time_bins)]
+            artifacts["spectrum.csv"] = _Table("freq_bin,time_bin,energy", h.cells, labels=labels)
         if "marginal" in outputs:
             artifacts["marginal.csv"] = _Table("freq,energy", [h.freq_bins, h.marginal])
     if "significance" in outputs:

@@ -11,6 +11,7 @@ as an alternate method for cross-checking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,48 +91,63 @@ def hilbert_spectrum(
     With ``n_time_bins`` unset every sample is its own time column.
 
     Each time column holds at most one cell per IMF, so only the
-    non-zero cells are kept, frequency-major. Each cell sums its
-    energies in (IMF, sample) order, and each marginal entry sums its
-    frequency row as a dense row: the bits of a dense grid build.
+    non-zero cells are kept, frequency-major. They are found one block
+    of whole time columns at a time, ~4,096 samples each (a wider column
+    is a block of its own), which keeps the peak memory near twice the
+    cells'. Each cell sums its energies in (IMF, sample) order, and each
+    marginal entry sums its frequency row as a dense row: the bits of a
+    dense grid build.
     """
     if not d.imfs:
         raise ValueError("decomposition has no IMFs")
-    if n_freq_bins < 1 or (n_time_bins is not None and n_time_bins < 1):
-        raise ValueError("frequency and time bin counts must be >= 1")
     ref = d.imfs[0]
-    nyquist = ref.sample_rate / 2.0
-    f_width = nyquist / n_freq_bins
+    counts = {"n_freq_bins": n_freq_bins,
+              "n_time_bins": ref.n if n_time_bins is None else n_time_bins}
+    for name, value in counts.items():
+        if not hasattr(type(value), "__index__") or operator.index(value) < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    n_freq_bins, n_time_bins = map(operator.index, counts.values())
+    f_width = ref.sample_rate / 2.0 / n_freq_bins  # Nyquist over the bin count
     freq_bins = (np.arange(n_freq_bins) + 0.5) * f_width
 
-    if n_time_bins is None:
-        n_time_bins = ref.n
     t_width = ref.n / (ref.sample_rate * n_time_bins)
     time_bins = ref.t0 + (np.arange(n_time_bins) + 0.5) * t_width
     t_idx = np.minimum((np.arange(ref.n) // (ref.n / n_time_bins)).astype(int),
                        n_time_bins - 1)
 
-    keys = np.empty((len(d.imfs), ref.n), dtype=int)  # cell of each (IMF, sample)
+    f_type = np.min_scalar_type(n_freq_bins - 1)  # the smallest that holds every bin
+    f_idx = np.empty((len(d.imfs), ref.n), dtype=f_type)  # bin of each (IMF, sample)
     weights = np.empty((len(d.imfs), ref.n))
     clipped = 0
     with np.errstate(over="ignore"):  # energies past the float64 range are inf
         for i, imf in enumerate(d.imfs):
             attrs = analytic_signal(imf)
-            f_idx = np.floor(attrs.inst_freq / f_width).astype(int)
-            clipped += int(np.count_nonzero(f_idx < 0))
-            f_idx = np.clip(f_idx, 0, n_freq_bins - 1)
-            keys[i] = f_idx * n_time_bins + t_idx
+            f = np.floor(attrs.inst_freq / f_width).astype(int)
+            clipped += int(np.count_nonzero(f < 0))
+            f_idx[i] = np.clip(f, 0, n_freq_bins - 1)
             weights[i] = attrs.amplitude**2
-        cell_keys, inverse = np.unique(keys, return_inverse=True)
-        energy = np.bincount(inverse.ravel(), weights.ravel())
-        nonzero = energy != 0
-        f_cell, t_cell = np.divmod(cell_keys[nonzero], n_time_bins)
-        energy = energy[nonzero]
-        row_sums = np.zeros(n_freq_bins)
-        row = np.zeros(n_time_bins)
-        occupied, starts = np.unique(f_cell, return_index=True)
-        for f, t, e in zip(occupied, np.split(t_cell, starts[1:]), np.split(energy, starts[1:])):
+        del attrs, f
+        blocks = []  # (key, energy) of each block's non-zero cells
+        # a block starts where the column of every 4,096th sample starts
+        bounds = np.unique(np.searchsorted(t_idx, t_idx[::4096]))
+        for a, b in zip(bounds, [*bounds[1:], ref.n]):
+            cell_keys, inverse = np.unique(f_idx[:, a:b].astype(int) * n_time_bins + t_idx[a:b],
+                                           return_inverse=True)
+            energy = np.bincount(inverse.ravel(), weights[:, a:b].ravel())
+            blocks.append((cell_keys[energy != 0], energy[energy != 0]))
+        del f_idx, weights
+        cell_keys, energy = map(np.concatenate, zip(*blocks))
+        del blocks
+        # frequency-major: blocks are (bin, column)-ordered, so a stable (radix) sort by bin
+        order = np.argsort((cell_keys // n_time_bins).astype(f_type), kind="stable")
+        cell_keys, energy = cell_keys[order], energy[order]
+        del order
+        f_cell, t_cell = np.divmod(cell_keys, n_time_bins)
+        row_sums, row = np.zeros(n_freq_bins), np.zeros(n_time_bins)
+        starts = np.flatnonzero(np.diff(f_cell)) + 1  # of each frequency row
+        for f, t, e in zip(*(np.split(c, starts) for c in (f_cell, t_cell, energy))):
             row[t] = e
-            row_sums[f] = row.sum()
+            row_sums[f[:1]] = row.sum()  # no cell at all: f is empty
             row[t] = 0.0
         marginal = row_sums * ref.dt
     return HilbertSpectrum(freq_bins, time_bins, (f_cell, t_cell, energy), marginal,

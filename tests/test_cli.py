@@ -228,6 +228,20 @@ class TestArtifactWriter:
             min(BLOCK, n - s) for s in range(0, n, BLOCK)]
         assert "".join(blocks) == expected
 
+    @pytest.mark.parametrize("n", [1, BLOCK, 2 * BLOCK + 1])
+    def test_label_columns_match_object_columns(self, n):
+        # Columns that index label arrays are looked up one chunk at a
+        # time, with the bytes of the per-row object columns.
+        rng = np.random.default_rng(n)
+        names = [np.array([f"{k / 7!r}" for k in range(m)], dtype=object) for m in (3, 50)]
+        index = [rng.integers(0, len(a), n) for a in names]
+        energy = rng.standard_normal(n)
+        labelled = _Table("a,b,c", [*index, energy], labels=names)
+        plain = _Table("a,b,c", [names[0][index[0]], names[1][index[1]], energy])
+        assert labelled.chunks == plain.chunks == -(-n // BLOCK)
+        assert [labelled.chunk(k) for k in range(labelled.chunks)] == \
+            [plain.chunk(k) for k in range(plain.chunks)]
+
 
 class TestDecompose:
     def test_artifacts_written(self, two_tone_csv, tmp_path, capsys):

@@ -240,6 +240,30 @@ class TestHilbertSpectrum:
         d = emd(x)
         assert traced_peak_mb(hilbert_spectrum, d, 256) < 16
 
+    def test_peak_memory_scales_with_the_cells(self):
+        # Blocks of whole time columns keep the peak near twice the cells
+        # returned; one np.unique over every (IMF, sample) key read 4.3x
+        # at 16,384 samples and 4.8x at 262,144.
+        x = SampledSignal(np.random.default_rng(16).standard_normal(2**16), 1000.0)
+        d = emd(x)
+        cells = sum(a.nbytes for a in hilbert_spectrum(d).cells) / 2**20
+        assert traced_peak_mb(hilbert_spectrum, d) <= 3 * cells
+
+    @pytest.mark.parametrize("bins, name", [(dict(n_freq_bins=256.0), "n_freq_bins"),
+                                            (dict(n_time_bins=10.5), "n_time_bins"),
+                                            (dict(n_time_bins="8"), "n_time_bins")])
+    def test_non_integer_bin_count_named(self, bins, name):
+        x = sine(20.0, 500.0, 4.0)
+        d = Decomposition((x,), x.with_samples(np.zeros(x.n)), Variant.EMD)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            hilbert_spectrum(d, **bins)
+
+    def test_numpy_integer_bin_counts(self):
+        d = _noise_decomposition(512)
+        h, want = hilbert_spectrum(d, np.uint16(300), np.int64(100)), hilbert_spectrum(d, 300, 100)
+        assert [a.tobytes() for a in (*h.cells, h.marginal)] == \
+            [a.tobytes() for a in (*want.cells, want.marginal)]
+
     def test_negative_if_counted(self, rng):
         # A component violating the oscillatory-mode property produces
         # negative instantaneous frequencies that the grid must count.
@@ -306,6 +330,14 @@ SPECTRUM_CASES = [
     ("only-zero-imf", partial(_only_zero_imf, 256), (32, 40)),
     ("inf-energy", partial(_noise_decomposition, 1024, 2.0**1000), (64, None)),
     ("inf-energy-binned", partial(_noise_decomposition, 1024, 2.0**1000), (64, 50)),
+    # Cells are found in blocks of whole time columns of ~4,096 samples:
+    # 16,384 one-sample columns; columns of 3-4 samples, one holding
+    # samples 4,095 and 4,096; one column of every sample; and bins
+    # stored as uint16.
+    ("blocks-16384", partial(_noise_decomposition, 16384), (256, None)),
+    ("blocks-straddled", partial(_noise_decomposition, 5000), (256, 1500)),
+    ("one-column", partial(_noise_decomposition, 5000), (64, 1)),
+    ("uint16-bins", partial(_noise_decomposition, 1024), (300, None)),
 ]
 
 
@@ -347,3 +379,17 @@ class TestSpectrumMatchesDenseBuild:
         assert np.isnan(spectral_ridge(hilbert_spectrum(make["only-zero-imf"]()))).all()
         h = hilbert_spectrum(make["inf-energy"](), n_freq_bins=64)
         assert np.isinf(dense_grid(h)).any() and np.isinf(h.marginal).any()
+
+
+def test_more_time_bins_than_samples():
+    # Library only: the command line bounds --time-bins by the sample count.
+    d = _noise_decomposition(1024)
+    n_time = 2 * 1024 + 3  # some columns hold no sample
+    grid, marginal, ridge, _ = _dense_build(d, 256, n_time)
+    h = hilbert_spectrum(d, n_freq_bins=256, n_time_bins=n_time)
+    f, t, e = h.cells
+    assert not grid.any(axis=0).all()
+    assert np.array_equal(np.column_stack((f, t)), np.argwhere(grid != 0))
+    assert e.tobytes() == grid[grid != 0].tobytes()
+    assert h.marginal.tobytes() == marginal.tobytes()
+    assert spectral_ridge(h).tobytes() == ridge.tobytes()
