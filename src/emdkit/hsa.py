@@ -5,8 +5,7 @@ marginal.
 The analytic signal is built in the frequency domain (double the
 positive frequencies, zero the negative ones, keep DC and Nyquist) from
 numpy's real-input FFT; instantaneous frequency comes from central
-differences of the unwrapped phase, with the quotient formula available
-as an alternate method for cross-checking.
+differences of the unwrapped phase.
 """
 
 from __future__ import annotations
@@ -27,13 +26,9 @@ class AnalyticAttributes:
     sample_rate: float
 
 
-def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAttributes:
-    """Instantaneous amplitude, phase and frequency of ``x``.
-
-    ``method`` selects the IF estimator: "phase_diff" differentiates the
-    unwrapped phase (default), "quotient" uses the analytic-signal
-    quotient formula; both are identical in continuous time, the latter
-    is noisier discretely.
+def analytic_signal(x: SampledSignal) -> AnalyticAttributes:
+    """Instantaneous amplitude, phase and frequency of ``x``; the frequency
+    is the central-difference derivative of the unwrapped phase.
 
     The FFT runs on samples rescaled by a power of two; phase and IF are
     scale-free, and the amplitude is scaled back (inf past the float64 range).
@@ -55,18 +50,7 @@ def analytic_signal(x: SampledSignal, method: str = "phase_diff") -> AnalyticAtt
     with np.errstate(over="ignore"):
         amplitude = np.ldexp(np.abs(z), -k)
     phase = np.unwrap(np.angle(z))
-    if method == "phase_diff":
-        inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
-    elif method == "quotient":
-        yh = z.imag
-        dy = np.gradient(y, x.dt)
-        dyh = np.gradient(yh, x.dt)
-        denom = y**2 + yh**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            omega = np.where(denom > 0, (dyh * y - yh * dy) / denom, 0.0)
-        inst_freq = omega / (2 * np.pi)
-    else:
-        raise ValueError(f"unknown IF method {method!r}")
+    inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
     return AnalyticAttributes(amplitude, phase, inst_freq, x.sample_rate)
 
 

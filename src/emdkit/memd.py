@@ -12,7 +12,6 @@ univariate extrema/zero-crossing condition is not imposed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -231,45 +230,22 @@ def _serve_directions(directions: np.ndarray, pipe, share: range) -> None:
         pipe.send(means)
 
 
-@dataclass(frozen=True)
-class _Shares:
-    """The caller's share of ``directions`` and the pipes to the forked
-    helpers that take the following shares, in direction order."""
-
-    directions: np.ndarray
-    own: range
-    pipes: list
-
-
-@contextmanager
-def _forked_shares(dirs: DirectionSet, workers: int):
-    """``dirs`` cut into ``workers`` shares: the first for the caller, one
-    forked helper for each other, all gone on exit."""
-    own, *rest = _fork.shares(dirs.count, workers)
-    with _fork.forked(partial(_serve_directions, dirs.directions), rest) as pipes:
-        yield _Shares(dirs.directions, own, pipes)
-
-
 def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
-                               helpers: _Shares | None = None) -> np.ndarray:
+                               pipes=()) -> np.ndarray:
     """Direction-averaged mean of the multidimensional upper and lower
     envelopes, as an (n, n_channels) array.
 
     Directions whose projection lacks two maxima or two minima are
     skipped; if every direction is skipped the signal has no envelope.
-    ``helpers`` are the direction shares of ``_forked_shares``: each helper
-    takes the means of its share while the caller takes its own, and the
-    sum passes through them in direction order, so the result is bit for
-    bit the serial one.
+    ``pipes`` lead to forked ``_serve_directions`` helpers of ``dirs``, one
+    for each share of ``_fork.shares(dirs.count, len(pipes) + 1)`` but the
+    first, which the caller takes: each helper takes the means of its share
+    while the caller takes its own, and the sum passes through them in
+    direction order, so the result is bit for bit the serial one.
     """
     if dirs.directions.shape[1] != x.n_channels:
         raise DimensionMismatchError(f"directions need {x.n_channels} coordinates")
-    if helpers is None:
-        own, pipes = range(dirs.count), ()
-    elif helpers.directions is dirs.directions:
-        own, pipes = helpers.own, helpers.pipes
-    else:
-        raise ValueError("the helpers share out other directions")
+    own = _fork.shares(dirs.count, len(pipes) + 1)[0]
     data = x.as_array()
     for pipe in pipes:
         pipe.send(data)
@@ -295,7 +271,7 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
 
 
 def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
-                                  cfg: SiftConfig, helpers: _Shares | None = None):
+                                  cfg: SiftConfig, pipes=()):
     """One MEMD mode from ``x``: repeated mean-envelope subtraction until
     the stoppage ratio holds. Returns (mode, residue); raises
     NoEnvelopeError when ``x`` has no envelope or the mode is rounding
@@ -304,7 +280,7 @@ def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
     work = x
     for it in range(cfg.max_sift_iterations):
         try:
-            env = multivariate_mean_envelope(work, dirs, helpers)
+            env = multivariate_mean_envelope(work, dirs, pipes)
         except NoEnvelopeError:
             if it == 0:
                 raise
@@ -343,12 +319,13 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.abs(data).max()), np.finfo(float).tiny)
 
     workers = _fork.worker_count(x.n, K if K * x.n * x.n_channels >= _FORK_MIN_WORK else 1)
-    with _forked_shares(dirs, workers) as helpers:
+    with _fork.forked(partial(_serve_directions, dirs.directions),
+                      _fork.shares(K, workers)[1:]) as pipes:
 
         def extract(work):
             if float(np.abs(work.as_array()).max()) <= floor:
                 raise NoEnvelopeError("the residue is negligible or below the normal range")
-            return _extract_one_multivariate_imf(work, dirs, cfg, helpers)
+            return _extract_one_multivariate_imf(work, dirs, cfg, pipes)
 
         modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
     *modes, residue = (x.from_array(np.ldexp(m.as_array(), -k)) for m in (*modes, residue))

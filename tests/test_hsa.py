@@ -35,7 +35,7 @@ def cos_signal(freq, rate, n):
     return SampledSignal(np.cos(2 * np.pi * freq * t), rate)
 
 
-def scipy_fft_analytic_signal(x, method):
+def scipy_fft_analytic_signal(x):
     """``analytic_signal`` as built on scipy.fft's full complex transform."""
     from scipy.fft import fft, ifft  # reference only; the library avoids it
 
@@ -47,14 +47,7 @@ def scipy_fft_analytic_signal(x, method):
     with np.errstate(over="ignore"):
         amplitude = np.ldexp(np.abs(z), -k)
     phase = np.unwrap(np.angle(z))
-    if method == "phase_diff":
-        inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
-    else:
-        yh = z.imag
-        dy, dyh = np.gradient(y, x.dt), np.gradient(yh, x.dt)
-        denom = y**2 + yh**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inst_freq = np.where(denom > 0, (dyh * y - yh * dy) / denom, 0.0) / (2 * np.pi)
+    inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
     return AnalyticAttributes(amplitude, phase, inst_freq, x.sample_rate)
 
 
@@ -90,17 +83,6 @@ class TestAnalyticSignal:
         err = np.abs(central(attrs.inst_freq) - central(true_if))
         assert np.max(err) <= 3.0
 
-    def test_quotient_method_agrees_centrally(self):
-        x = cos_signal(20.0, 1000.0, 4096)
-        a = analytic_signal(x, method="phase_diff")
-        b = analytic_signal(x, method="quotient")
-        diff = np.abs(central(a.inst_freq) - central(b.inst_freq))
-        assert np.max(diff) <= 0.5
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            analytic_signal(cos_signal(5.0, 100.0, 64), method="nope")
-
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             analytic_signal(SampledSignal(np.arange(4, dtype=float), 1.0))
@@ -118,7 +100,7 @@ class TestAnalyticSignal:
     @pytest.mark.parametrize("kind", ["noise", "sine 1e300", "sine 1e-300", "impulse"])
     def test_matches_scipy_fft_build_bit_for_bit(self, kind):
         # The library's real FFT against the full complex transform of
-        # scipy.fft, which it replaced: every output byte, both IF methods.
+        # scipy.fft, which it replaced: every output byte.
         rng = np.random.default_rng(len(kind))
         moved = []
         for n in [*range(8, 301), 1500, 4097, 16384, 65537]:
@@ -130,11 +112,10 @@ class TestAnalyticSignal:
             else:
                 v = np.sin(0.3 * np.arange(n)) * float(kind.split()[1])
             x = SampledSignal(v, 100.0)
-            for method in ("phase_diff", "quotient"):
-                got, want = analytic_signal(x, method), scipy_fft_analytic_signal(x, method)
-                if any(getattr(got, f).tobytes() != getattr(want, f).tobytes()
-                       for f in ("amplitude", "phase", "inst_freq")):
-                    moved.append((n, method))
+            got, want = analytic_signal(x), scipy_fft_analytic_signal(x)
+            if any(getattr(got, f).tobytes() != getattr(want, f).tobytes()
+                   for f in ("amplitude", "phase", "inst_freq")):
+                moved.append(n)
         assert moved == []
 
     @staticmethod

@@ -1,5 +1,6 @@
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from emdkit import (
     memd,
     multivariate_mean_envelope,
 )
+from emdkit import _fork
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
 from conftest import fft_peak_hz, no_child_left, sine
 
@@ -68,6 +70,16 @@ class TestDirections:
     def test_rejects_non_unit_directions(self):
         with pytest.raises(ValueError):
             DirectionSet(np.array([[1.0, 1.0]]))
+
+    @pytest.mark.parametrize("directions", [np.empty((0, 2)), np.array([1.0, 0.0])])
+    def test_rejects_an_empty_set(self, directions):
+        with pytest.raises(ValueError, match="^need at least one direction$"):
+            DirectionSet(directions)
+
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_rejects_fewer_than_one_direction(self, K):
+        with pytest.raises(ValueError, match="^need K >= 1$"):
+            hammersley_directions(3, K)
 
     def test_better_spread_than_iid(self, rng):
         # Quasi-uniform points should have a larger minimum nearest-
@@ -200,6 +212,33 @@ class TestMemd:
         assert d.imfs == ()
         np.testing.assert_array_equal(d.residue.as_array(), x.as_array())
 
+    def test_later_sift_without_an_envelope_ends_the_mode(self, monkeypatch, cpus):
+        # The first mean envelope of this input leaves a mode whose every
+        # projection lacks two maxima or two minima: the sift stops there.
+        cpus(1)
+        x = MultivariateSignal((SampledSignal(np.array([-1.0, -1, -3, 1, -3, 0]), 1.0),
+                                SampledSignal(np.array([2.0, 0, 1, 2, -2, -3]), 1.0)))
+        envelope, outcomes = memd_module.multivariate_mean_envelope, []
+
+        def recorded(*args):
+            try:
+                env = envelope(*args)
+            except NoEnvelopeError:
+                outcomes.append("none")
+                raise
+            outcomes.append("envelope")
+            return env
+
+        monkeypatch.setattr(memd_module, "multivariate_mean_envelope", recorded)
+        d = memd(x, 6, SiftConfig(max_imfs=1))
+        assert outcomes == ["envelope", "none"]
+        data = x.as_array()
+        (mode,), residue = [m.as_array() for m in d.imfs], d.residue.as_array()
+        assert mode.tobytes() == (data - envelope(x, hammersley_directions(2, 6))).tobytes()
+        assert residue.tobytes() == (data - mode).tobytes()
+        # Small-integer samples make the sum exact.
+        assert (mode + residue).tobytes() == data.tobytes()
+
     def test_unexpected_extrema_errors_propagate(self, monkeypatch):
         def broken(p):
             raise RuntimeError("bug")
@@ -249,6 +288,10 @@ class TestMultivariateDecomposition:
 
 
 class TestMultivariateSignal:
+    def test_needs_a_channel(self):
+        with pytest.raises(ValueError, match="^need at least one channel$"):
+            MultivariateSignal(())
+
     def test_channel_compatibility_enforced(self):
         with pytest.raises(DimensionMismatchError):
             MultivariateSignal((sine(4.0, 100.0, 1.0), sine(4.0, 200.0, 1.0)))
@@ -278,6 +321,13 @@ def _planar(angles):
     return DirectionSet(np.column_stack((np.cos(angles), np.sin(angles))))
 
 
+def _helpers(dirs, workers):
+    """Pipes to forked helpers for every share of ``dirs`` but the first,
+    as ``memd`` forks them."""
+    return _fork.forked(partial(memd_module._serve_directions, dirs.directions),
+                        _fork.shares(dirs.count, workers)[1:])
+
+
 class TestForkedDirections:
     # multitone4 has 4 channels of 1,024 samples, so K = 33 and K = 64 are
     # both past the 2^17 projected samples from which helpers start.
@@ -302,8 +352,8 @@ class TestForkedDirections:
         x = MultivariateSignal((s, -1.0 * s))
         dirs = _planar(np.r_[np.linspace(0.1, 1.2, 4), np.full(4, np.pi / 4)])
         want = multivariate_mean_envelope(x, dirs)
-        with memd_module._forked_shares(dirs, 2) as helpers:
-            assert multivariate_mean_envelope(x, dirs, helpers).tobytes() == want.tobytes()
+        with _helpers(dirs, 2) as pipes:
+            assert multivariate_mean_envelope(x, dirs, pipes).tobytes() == want.tobytes()
         no_child_left()
 
     def test_no_envelope_when_every_share_is_skipped(self):
@@ -311,23 +361,12 @@ class TestForkedDirections:
         cancelling = MultivariateSignal((s, -1.0 * s))
         dirs = _planar(np.full(9, np.pi / 4))
         other = MultivariateSignal((s, sine(6.0, 256.0, 1.0)))
-        with memd_module._forked_shares(dirs, 3) as helpers:
+        with _helpers(dirs, 3) as pipes:
             with pytest.raises(NoEnvelopeError, match="^no direction projection"):
-                multivariate_mean_envelope(cancelling, dirs, helpers)
+                multivariate_mean_envelope(cancelling, dirs, pipes)
             # Every helper answered, so the next envelope is exchanged in step.
-            got = multivariate_mean_envelope(other, dirs, helpers)
+            got = multivariate_mean_envelope(other, dirs, pipes)
         assert got.tobytes() == multivariate_mean_envelope(other, dirs).tobytes()
-        no_child_left()
-
-    def test_helpers_of_other_directions_are_refused(self):
-        s = sine(4.0, 256.0, 1.0)
-        x = MultivariateSignal((s, sine(6.0, 256.0, 1.0)))
-        dirs = _planar(np.linspace(0.1, 3.0, 8))
-        with memd_module._forked_shares(dirs, 2) as helpers:
-            with pytest.raises(ValueError, match="^the helpers share out other directions$"):
-                multivariate_mean_envelope(x, _planar(np.linspace(0.1, 3.0, 8)), helpers)
-            got = multivariate_mean_envelope(x, dirs, helpers)
-        assert got.tobytes() == multivariate_mean_envelope(x, dirs).tobytes()
         no_child_left()
 
     @pytest.mark.parametrize("decompose", [memd, epmemd])
