@@ -26,10 +26,10 @@ from .memd import (
     memd,
     multivariate_mean_envelope,
 )
-from .epemd import LinoepStage, epemd, epmemd, orthogonalize_stage, verify_linoep
+from .epemd import LinoepStage, epemd, epmemd, orthogonalize_stage
 from .gsom import GsomResult, gram_schmidt, imf_property_report, orthogonal_variants
 from .hsa import AnalyticAttributes, HilbertSpectrum, analytic_signal, hilbert_spectrum, spectral_ridge
-from .metrics import OrthoReport, ortho_report, pee_identity_check
+from .metrics import OrthoReport, ortho_report, pee_identity_check, verify_linoep
 from .significance import (
     ConfidenceBand,
     SignificancePoint,

@@ -37,11 +37,11 @@ from .core import (
     Variant,
 )
 from .emd import EemdConfig, SiftConfig, eemd, emd
-from .epemd import epemd, epmemd, verify_linoep
+from .epemd import epemd, epmemd
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 from .hsa import hilbert_spectrum
 from .memd import MultivariateSignal, memd
-from .metrics import ortho_report, pee_identity_check
+from .metrics import ortho_report, verdicts
 from .siggen import (
     CHIRP_TF_PRESET,
     SignalKind,
@@ -481,27 +481,6 @@ def _read_meta(path: Path) -> dict[str, str]:
         return {k.strip(): v.strip() for k, _, v in (ln.lstrip("#").partition("=") for ln in block)}
 
 
-def _channel_checks(x: SampledSignal, d: Decomposition):
-    """(name, ok, detail) for every contract ``d.variant`` promises."""
-    r = ortho_report(x, d)
-    err = r.reconstruction_error
-    if d.variant is Variant.EEMD:
-        yield ("completeness (diagnostic)", True,
-               f"relative error {err:.3e} (approximate by design)")
-    else:
-        yield "completeness", err <= 1e-9, f"relative error {err:.3e}"
-    if d.variant in GRAM_SCHMIDT_VARIANTS:
-        m = len(d.imfs) + (d.variant is not Variant.OIMF)  # OIMF leaves the residue
-        worst = float(np.max(np.abs(r.io_pairs[:m, :m]), initial=0.0))
-        yield "pairwise orthogonality", worst <= 1e-6, f"max |IO_jk| {worst:.3e}"
-    if d.variant in (Variant.EPEMD, Variant.EPMEMD):
-        comps = d.components
-        yield ("chain orthogonality", len(comps) < 2 or verify_linoep(comps),
-               f"{len(comps)} components")
-    resid = pee_identity_check(r)
-    yield "energy-error identity", resid <= 1e-9, f"|Pee - 100*IO_T| = {resid:.3e}"
-
-
 def run_verify(args) -> int:
     art = Path(args.artifact_dir)
     imfs_path = art / "imfs.csv"
@@ -518,19 +497,15 @@ def run_verify(args) -> int:
     if len(dcs) != n_ch or len(comps) % n_ch:
         raise CliError(f"{art}: artifacts do not match the {n_ch} input channel(s)")
 
-    checks: dict[str, list[tuple[bool, str]]] = {}
+    lines: dict[str, list[tuple[bool, str]]] = {}  # contract name -> its channels' verdicts
     for j, x in enumerate(signal.channels):
         *imfs, residue = comps[j::n_ch]
-        for name, ok, detail in _channel_checks(x, Decomposition(imfs, residue, variant, dcs[j])):
-            checks.setdefault(name, []).append(
-                (ok, detail if n_ch == 1 else f"ch{j + 1} {detail}"))
-
-    failed = False
-    for name, results in checks.items():
-        ok = all(r[0] for r in results)
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {'; '.join(r[1] for r in results)}")
-    return 1 if failed else 0
+        for name, ok, detail in verdicts(x, Decomposition(imfs, residue, variant, dcs[j])):
+            lines.setdefault(name, []).append((ok, detail if n_ch == 1 else f"ch{j + 1} {detail}"))
+    for name, results in lines.items():
+        oks, details = zip(*results)
+        print(f"{'PASS' if all(oks) else 'FAIL'}  {name}: {'; '.join(details)}")
+    return 0 if all(ok for results in lines.values() for ok, _ in results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -314,11 +314,9 @@ def _grid_pair(ts, ys, n: int) -> np.ndarray:
 _SAFE_PEAK = (2.0**-500, 2.0**500)
 
 
-def _envelope_knots(v: np.ndarray):
-    """The extrema of the finite samples ``v``, the abscissae and values
-    of their upper and lower knots, and the exponent k: outside
-    ``_SAFE_PEAK`` the values are scaled by 2**k into [0.5, 1). Raises
-    NoEnvelopeError as ``build_envelopes`` does."""
+def _envelope_extrema(v: np.ndarray) -> ExtremaSet:
+    """The extrema of the finite samples ``v``; NoEnvelopeError unless
+    there are at least 3 samples, 2 maxima and 2 minima to span envelopes."""
     if v.size < 3:
         raise NoEnvelopeError("envelopes need at least 3 samples")
     ext = detect_extrema(v)
@@ -326,6 +324,14 @@ def _envelope_knots(v: np.ndarray):
         raise NoEnvelopeError(
             f"need >= 2 maxima and >= 2 minima, got {ext.max_idx.size}/{ext.min_idx.size}"
         )
+    return ext
+
+
+def _envelope_knots(v: np.ndarray):
+    """The ``_envelope_extrema`` of the finite samples ``v``, the abscissae
+    and values of their upper and lower knots, and the exponent k: outside
+    ``_SAFE_PEAK`` the values are scaled by 2**k into [0.5, 1)."""
+    ext = _envelope_extrema(v)
     x0, xe = float(v[0]), float(v[-1])
     (ui, uv), (li, lv) = _boundary_knots(
         ext.max_idx, ext.max_val, ext.min_idx, ext.min_val, x0, xe, v.size)

@@ -71,26 +71,6 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
                          diagnostics={"alphas": alphas})
 
 
-def verify_linoep(components) -> bool:
-    """True iff the components satisfy the chain condition (each one
-    orthogonal to the sum of all later ones) and the resulting energy
-    identity, both within 1e-9 of the total energy."""
-    components = list(components)
-    if len(components) < 2:
-        raise ValueError("need at least 2 components")
-    for sig in components[1:]:
-        components[0]._check_compatible(sig)
-
-    stack, _ = _unit_stack(*(c.samples for c in components))
-    gram = stack @ stack.T
-    e_total = float(np.trace(gram))
-    # Row i of the strict upper triangle sums to <c_i, c_i+1 + ... + c_m>;
-    # the whole matrix sums to the energy of the component sum.
-    chain = np.triu(gram, 1).sum(axis=1)
-    return bool(np.all(np.abs(chain) <= 1e-9 * e_total)
-                and abs(e_total - float(gram.sum())) <= 1e-9 * e_total)
-
-
 def _orthogonalize_channels(mode: MultivariateSignal, residue: MultivariateSignal):
     """``orthogonalize_stage`` on each channel of a multivariate pair."""
     stages = [orthogonalize_stage(m, r) for m, r in zip(mode.channels, residue.channels)]

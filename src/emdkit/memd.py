@@ -21,14 +21,13 @@ from . import _fork
 from .core import (
     Decomposition,
     DimensionMismatchError,
-    InsufficientDataError,
     NoEnvelopeError,
     SampledSignal,
     Variant,
     _unit_exponent,
 )
 from .emd import SiftConfig, _below_normal, _extract_modes, _rounding_noise, emd
-from .envelope import _mirror_extend, cubic_spline, detect_extrema
+from .envelope import _envelope_extrema, _mirror_extend, cubic_spline
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
 ENVELOPE_RATIO_THRESHOLD = 0.075
@@ -70,10 +69,6 @@ class MultivariateSignal:
     @property
     def n(self) -> int:
         return self.channels[0].n
-
-    @property
-    def sample_rate(self) -> float:
-        return self.channels[0].sample_rate
 
     def as_array(self) -> np.ndarray:
         """(n_samples, n_channels) data matrix."""
@@ -201,10 +196,8 @@ def _direction_means(data: np.ndarray, directions: np.ndarray):
         if float(np.abs(p).max()) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
             continue
         try:
-            ext = detect_extrema(p)
-        except InsufficientDataError:
-            continue
-        if ext.max_idx.size < 2 or ext.min_idx.size < 2:
+            ext = _envelope_extrema(p)
+        except NoEnvelopeError:
             continue
         upper = _interp_channels(data, ext.max_idx, data.shape[0])
         lower = _interp_channels(data, ext.min_idx, data.shape[0])

@@ -27,9 +27,11 @@ from emdkit import (
 )
 from emdkit import _fork
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
+from emdkit.metrics import verdicts
 from conftest import fft_peak_hz, no_child_left, sine
 
 memd_module = sys.modules["emdkit.memd"]
+envelope_module = sys.modules["emdkit.envelope"]
 
 
 class TestHammersleyMachinery:
@@ -244,7 +246,7 @@ class TestMemd:
             raise RuntimeError("bug")
 
         # The package re-exports shadow the submodule name; look it up directly.
-        monkeypatch.setattr(memd_module, "detect_extrema", broken)
+        monkeypatch.setattr(envelope_module, "detect_extrema", broken)
         s = sine(8.0, 256.0, 2.0)
         with pytest.raises(RuntimeError):
             memd(MultivariateSignal((s, s)), K=8)
@@ -264,6 +266,19 @@ class TestMemd:
         assert len(multi.imfs) == len(uni.imfs)
         for a, b in zip(multi.imfs, uni.imfs):
             np.testing.assert_array_equal(a.channels[0].samples, b.samples)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_too_short_for_envelopes(self, n, decompose):
+        # No projection of 2 or 3 samples has two maxima and two minima.
+        data = np.array([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])[:n]
+        x = MultivariateSignal(tuple(SampledSignal(c, 4.0) for c in data.T))
+        md = decompose(x, 16)
+        assert md.imfs == ()
+        for ch, d in zip(x.channels, md.channels):
+            assert d.residue.samples.tobytes() == ch.samples.tobytes()
+            # Completeness and the energy identity, and for epmemd the chain.
+            assert [ok for _, ok, _ in verdicts(ch, d)] == [True] * (3 if decompose is epmemd else 2)
 
 
 class TestMultivariateDecomposition:
@@ -378,14 +393,14 @@ class TestForkedDirections:
         x = MultivariateSignal((sine(4.0, 256.0, 4.0, phase=np.pi / 2),
                                 sine(6.0, 256.0, 4.0, phase=np.pi / 2)))
         dirs = _planar(np.r_[np.linspace(0.1, 1.4, 32), np.linspace(3.3, 4.6, 32)])
-        extrema = memd_module.detect_extrema
+        extrema = envelope_module.detect_extrema
 
         def failing(p):
             if p[0] < 0:
                 raise InvalidKnotsError(f"projection starts at {float(p[0])!r}")
             return extrema(p)
 
-        monkeypatch.setattr(memd_module, "detect_extrema", failing)
+        monkeypatch.setattr(envelope_module, "detect_extrema", failing)
         monkeypatch.setattr(memd_module, "hammersley_directions", lambda n, K: dirs)
         raised = []
         for k in (1, 2, 3):
