@@ -77,11 +77,16 @@ def _below_normal(x) -> bool:
     return 0.0 < float(np.abs(x).max()) < np.finfo(float).tiny
 
 
+#: Rounding errors alone vary a result of float64 arithmetic on samples by
+#: up to this fraction of the samples' peak.
+_ROUNDING_NOISE = 16 * np.finfo(float).eps
+
+
 def _rounding_noise(mode, x) -> bool:
     """True when the peak of ``mode``, sifted from the samples ``x``, is at
     most 16 eps times the peak of ``x``: the sift's rounding errors alone
     make such a mode, and would make another from every residue."""
-    return float(np.abs(mode).max()) <= 16 * np.finfo(float).eps * float(np.abs(x).max())
+    return float(np.abs(mode).max()) <= _ROUNDING_NOISE * float(np.abs(x).max())
 
 
 def _imf_test(v: np.ndarray, n_extrema, mean: np.ndarray) -> np.ndarray:

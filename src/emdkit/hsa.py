@@ -42,14 +42,18 @@ def analytic_signal(x: SampledSignal) -> AnalyticAttributes:
     # half is zero, so only the real FFT's bins are filled in.
     spec = np.zeros(x.n, dtype=complex)
     spec[:x.n // 2 + 1] = np.fft.rfft(y)
+    del y
     spec[1:(x.n + 1) // 2] *= 2.0
     spec.imag[0] = -0.0
     if x.n % 2 == 0:
         spec.imag[x.n // 2] = -0.0
     z = np.fft.ifft(spec)
+    del spec
     with np.errstate(over="ignore"):
         amplitude = np.ldexp(np.abs(z), -k)
-    phase = np.unwrap(np.angle(z))
+    phase = np.angle(z)
+    del z
+    phase = np.unwrap(phase)
     inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
     return AnalyticAttributes(amplitude, phase, inst_freq, x.sample_rate)
 
@@ -58,10 +62,21 @@ def analytic_signal(x: SampledSignal) -> AnalyticAttributes:
 class HilbertSpectrum:
     freq_bins: np.ndarray  # bin centers, Hz, ascending
     time_bins: np.ndarray  # bin centers, s
-    cells: tuple[np.ndarray, np.ndarray, np.ndarray]  # non-zero (freq_idx, time_idx, energy)
+    # the non-zero cells, frequency-major: (freq_idx, time_idx, energy), each
+    # index in the smallest unsigned type that holds every bin, energy float64
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
     marginal: np.ndarray  # per freq bin, time-integrated
     dt: float
     negative_if_samples: int  # IF samples clipped into bin 0
+
+
+def _runs(a: np.ndarray):
+    """The distinct values of the sorted array ``a``, where each first
+    appears and how many times."""
+    starts = np.ones(a.size, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    return a[first], first, np.diff(first, append=a.size)
 
 
 def hilbert_spectrum(
@@ -75,12 +90,15 @@ def hilbert_spectrum(
     With ``n_time_bins`` unset every sample is its own time column.
 
     Each time column holds at most one cell per IMF, so only the
-    non-zero cells are kept, frequency-major. They are found one block
-    of whole time columns at a time, ~4,096 samples each (a wider column
-    is a block of its own), which keeps the peak memory near twice the
-    cells'. Each cell sums its energies in (IMF, sample) order, and each
-    marginal entry sums its frequency row as a dense row: the bits of a
-    dense grid build.
+    non-zero cells are kept, frequency-major, with each bin index in the
+    smallest unsigned type that holds it (uint8 at 256 bins). They are
+    found one block of whole time columns at a time, ~1,024 samples each
+    (a wider column is a block of its own), under keys of the smallest
+    type that holds them. Each block's cells, ordered by (frequency,
+    time), are then written straight to their frequency-major places and
+    freed, so no concatenated or sorted copy is made. Each cell sums its
+    energies in (IMF, sample) order, and each marginal entry sums its
+    frequency row as a dense row: the bits of a dense grid build.
     """
     if not d.imfs:
         raise ValueError("decomposition has no IMFs")
@@ -96,42 +114,58 @@ def hilbert_spectrum(
 
     t_width = ref.n / (ref.sample_rate * n_time_bins)
     time_bins = ref.t0 + (np.arange(n_time_bins) + 0.5) * t_width
-    t_idx = np.minimum((np.arange(ref.n) // (ref.n / n_time_bins)).astype(int),
-                       n_time_bins - 1)
+    # The smallest types that hold every bin; a key, f * n_time_bins + t,
+    # takes one that also holds its stride n_time_bins.
+    f_type, t_type, key_type = map(np.min_scalar_type, (
+        n_freq_bins - 1, n_time_bins - 1, n_freq_bins * n_time_bins))
+    t_idx = np.minimum(np.arange(ref.n) // (ref.n / n_time_bins), n_time_bins - 1).astype(t_type)
 
-    f_type = np.min_scalar_type(n_freq_bins - 1)  # the smallest that holds every bin
     f_idx = np.empty((len(d.imfs), ref.n), dtype=f_type)  # bin of each (IMF, sample)
     weights = np.empty((len(d.imfs), ref.n))
     clipped = 0
     with np.errstate(over="ignore"):  # energies past the float64 range are inf
         for i, imf in enumerate(d.imfs):
             attrs = analytic_signal(imf)
-            f = np.floor(attrs.inst_freq / f_width).astype(int)
+            f = attrs.inst_freq  # binned in place
+            np.floor(np.divide(f, f_width, out=f), out=f)
             clipped += int(np.count_nonzero(f < 0))
-            f_idx[i] = np.clip(f, 0, n_freq_bins - 1)
-            weights[i] = attrs.amplitude**2
+            f_idx[i] = np.clip(f, 0, n_freq_bins - 1, out=f)
+            np.square(attrs.amplitude, out=weights[i])
         del attrs, f
         blocks = []  # (key, energy) of each block's non-zero cells
-        # a block starts where the column of every 4,096th sample starts
-        bounds = np.unique(np.searchsorted(t_idx, t_idx[::4096]))
+        totals = np.zeros(n_freq_bins, dtype=np.intp)  # cells in each frequency row
+        # a block starts where the column of every 1,024th sample starts
+        bounds = np.unique(np.searchsorted(t_idx, t_idx[::1024]))
         for a, b in zip(bounds, [*bounds[1:], ref.n]):
-            cell_keys, inverse = np.unique(f_idx[:, a:b].astype(int) * n_time_bins + t_idx[a:b],
-                                           return_inverse=True)
+            keys = f_idx[:, a:b].astype(key_type)
+            keys *= n_time_bins
+            keys += t_idx[a:b]
+            keys, inverse = np.unique(keys, return_inverse=True)
             energy = np.bincount(inverse.ravel(), weights[:, a:b].ravel())
-            blocks.append((cell_keys[energy != 0], energy[energy != 0]))
+            keys, energy = keys[energy != 0], energy[energy != 0]
+            rows, _, count = _runs(keys // n_time_bins)
+            totals[rows] += count
+            blocks.append((keys, energy))
         del f_idx, weights
-        cell_keys, energy = map(np.concatenate, zip(*blocks))
-        del blocks
-        # frequency-major: blocks are (bin, column)-ordered, so a stable (radix) sort by bin
-        order = np.argsort((cell_keys // n_time_bins).astype(f_type), kind="stable")
-        cell_keys, energy = cell_keys[order], energy[order]
-        del order
-        f_cell, t_cell = np.divmod(cell_keys, n_time_bins)
+        # Blocks run in time order and each is (frequency, time)-ordered, so
+        # placing each block's rows after the earlier blocks' is frequency-major.
+        starts = np.concatenate(([0], np.cumsum(totals)))  # of each frequency row
+        f_cell = np.repeat(np.arange(n_freq_bins, dtype=f_type), totals)
+        t_cell, energy = np.empty(starts[-1], dtype=t_type), np.empty(starts[-1])
+        cursor = starts[:-1].copy()  # next free place in each row
+        blocks.reverse()  # popped in time order, each freed once placed
+        while blocks:
+            keys, e = blocks.pop()
+            f, t = np.divmod(keys, n_time_bins)
+            rows, first, count = _runs(f)
+            at = np.arange(keys.size) + np.repeat(cursor[rows] - first, count)
+            cursor[rows] += count
+            t_cell[at], energy[at] = t, e
         row_sums, row = np.zeros(n_freq_bins), np.zeros(n_time_bins)
-        starts = np.flatnonzero(np.diff(f_cell)) + 1  # of each frequency row
-        for f, t, e in zip(*(np.split(c, starts) for c in (f_cell, t_cell, energy))):
-            row[t] = e
-            row_sums[f[:1]] = row.sum()  # no cell at all: f is empty
+        for f in np.flatnonzero(totals):
+            t = t_cell[starts[f]:starts[f + 1]]
+            row[t] = energy[starts[f]:starts[f + 1]]
+            row_sums[f] = row.sum()
             row[t] = 0.0
         marginal = row_sums * ref.dt
     return HilbertSpectrum(freq_bins, time_bins, (f_cell, t_cell, energy), marginal,

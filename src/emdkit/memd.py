@@ -26,7 +26,7 @@ from .core import (
     Variant,
     _unit_exponent,
 )
-from .emd import SiftConfig, _below_normal, _extract_modes, _rounding_noise, emd
+from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _extract_modes, _rounding_noise, emd
 from .envelope import _envelope_extrema, _mirror_extend, cubic_spline
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
@@ -189,11 +189,14 @@ def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarr
 def _direction_means(data: np.ndarray, directions: np.ndarray):
     """Mean of the upper and lower envelope surfaces of the (n, channels)
     matrix ``data`` along each of ``directions`` in turn, skipping those
-    whose projection lacks two maxima or two minima."""
+    whose projection lacks two maxima or two minima, or varies by no more
+    than the rounding noise of ``data`` (whose extrema are no envelope)."""
     scale = float(np.abs(data).max())
     for d in directions:
         p = data @ d
-        if float(np.abs(p).max()) <= DEGENERATE_PROJECTION_THRESHOLD * scale:
+        hi, lo = float(p.max()), float(p.min())
+        if (max(hi, -lo) <= DEGENERATE_PROJECTION_THRESHOLD * scale
+                or hi - lo <= _ROUNDING_NOISE * scale):
             continue
         try:
             ext = _envelope_extrema(p)
@@ -228,8 +231,9 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
     """Direction-averaged mean of the multidimensional upper and lower
     envelopes, as an (n, n_channels) array.
 
-    Directions whose projection lacks two maxima or two minima are
-    skipped; if every direction is skipped the signal has no envelope.
+    Directions whose projection lacks two maxima or two minima, or varies
+    by no more than rounding noise, are skipped; if every direction is
+    skipped the signal has no envelope.
     ``pipes`` lead to forked ``_serve_directions`` helpers of ``dirs``, one
     for each share of ``_fork.shares(dirs.count, len(pipes) + 1)`` but the
     first, which the caller takes: each helper takes the means of its share

@@ -401,6 +401,19 @@ class TestDecompose:
         assert len(rep["channels"]) == 2
         assert main(["verify", str(out)]) == 0
 
+    @pytest.mark.parametrize("algo", ["memd", "epmemd"])
+    def test_constant_sum_channels_end(self, algo, tmp_path, capsys):
+        # A ramp and its reversal, at the default 64 directions and no
+        # --max-imfs: no modes, and every check passes.
+        p = tmp_path / "ramps.csv"
+        p.write_text("time,ch1,ch2\n" + "".join(f"{k},{k},{63 - k}\n" for k in range(64)))
+        out = tmp_path / "out"
+        assert main(["decompose", "--input", str(p), "--algo", algo, "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS  ") for line in lines)
+
     @pytest.mark.parametrize("algo, flags", [
         ("emd", ["--gen", "am"]),
         ("eemd", ["--gen", "am", "--ensemble-size", "4"]),

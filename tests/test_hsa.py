@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -222,9 +223,11 @@ class TestHilbertSpectrum:
         assert traced_peak_mb(hilbert_spectrum, d, 256) < 16
 
     def test_peak_memory_scales_with_the_cells(self):
-        # Blocks of whole time columns keep the peak near twice the cells
-        # returned; one np.unique over every (IMF, sample) key read 4.3x
-        # at 16,384 samples and 4.8x at 262,144.
+        # Narrow cells written straight into frequency-major order peak at
+        # 12.4 MiB here, 2.65x their 4.67 MiB. 24-byte cells put in order by
+        # a sort of their concatenation peaked at 18.8 MiB, 1.85x their
+        # 10.2 MiB; one np.unique over every (IMF, sample) key read 4.3x
+        # those cells at 16,384 samples and 4.8x at 262,144.
         x = SampledSignal(np.random.default_rng(16).standard_normal(2**16), 1000.0)
         d = emd(x)
         cells = sum(a.nbytes for a in hilbert_spectrum(d).cells) / 2**20
@@ -311,9 +314,9 @@ SPECTRUM_CASES = [
     ("only-zero-imf", partial(_only_zero_imf, 256), (32, 40)),
     ("inf-energy", partial(_noise_decomposition, 1024, 2.0**1000), (64, None)),
     ("inf-energy-binned", partial(_noise_decomposition, 1024, 2.0**1000), (64, 50)),
-    # Cells are found in blocks of whole time columns of ~4,096 samples:
+    # Cells are found in blocks of whole time columns of ~1,024 samples:
     # 16,384 one-sample columns; columns of 3-4 samples, one holding
-    # samples 4,095 and 4,096; one column of every sample; and bins
+    # samples 2,047 and 2,048; one column of every sample; and bins
     # stored as uint16.
     ("blocks-16384", partial(_noise_decomposition, 16384), (256, None)),
     ("blocks-straddled", partial(_noise_decomposition, 5000), (256, 1500)),
@@ -374,3 +377,92 @@ def test_more_time_bins_than_samples():
     assert e.tobytes() == grid[grid != 0].tobytes()
     assert h.marginal.tobytes() == marginal.tobytes()
     assert spectral_ridge(h).tobytes() == ridge.tobytes()
+
+
+def _unique_build(d, n_freq_bins, n_time_bins):
+    """Reference cells built in one pass: one int64 ``np.unique`` over
+    every (IMF, sample) key, ``np.bincount`` of the energies, the zero
+    cells dropped, then a stable sort on the frequency bin."""
+    ref = d.imfs[0]
+    n_time = ref.n if n_time_bins is None else n_time_bins
+    f_width = ref.sample_rate / 2.0 / n_freq_bins
+    t_idx = np.minimum((np.arange(ref.n) // (ref.n / n_time)).astype(int), n_time - 1)
+    keys, weights = [], []
+    with np.errstate(over="ignore"):
+        for imf in d.imfs:
+            attrs = analytic_signal(imf)
+            f_idx = np.clip(np.floor(attrs.inst_freq / f_width).astype(int), 0, n_freq_bins - 1)
+            keys.append(f_idx * n_time + t_idx)
+            weights.append(attrs.amplitude**2)
+        cell_keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        energy = np.bincount(inverse, np.concatenate(weights))
+    cell_keys, energy = cell_keys[energy != 0], energy[energy != 0]
+    order = np.argsort(cell_keys // n_time, kind="stable")
+    f, t = np.divmod(cell_keys[order], n_time)
+    return f, t, energy[order]
+
+
+def _tone_and_zero_imf(n):
+    tone = SampledSignal(np.sin(0.4 * np.pi * np.arange(n)), 100.0)  # 20 Hz
+    zero = tone.with_samples(np.zeros(n))
+    return Decomposition((tone, zero), zero, Variant.EMD)
+
+
+ORACLE_CASES = [
+    # (name, decomposition, (n_freq_bins, n_time_bins), (freq_idx, time_idx) dtypes)
+    ("one-column", partial(_noise_decomposition, 5000), (64, 1), ("uint8", "uint8")),
+    ("column-per-sample", partial(_noise_decomposition, 4096), (256, None), ("uint8", "uint16")),
+    ("column-per-sample-given", partial(_noise_decomposition, 4096), (256, 4096),
+     ("uint8", "uint16")),
+    ("columns-wider-than-a-block", partial(_noise_decomposition, 5000), (256, 3),
+     ("uint8", "uint8")),
+    ("uint16-freq-bins", partial(_noise_decomposition, 1024), (300, None), ("uint16", "uint16")),
+    ("uint32-time-bins", partial(_noise_decomposition, 1024), (256, 65_536 + 7),
+     ("uint8", "uint32")),
+    # one frequency bin: the key type must also hold the row stride, 256
+    ("one-freq-bin", partial(_noise_decomposition, 1024), (1, 256), ("uint8", "uint8")),
+    ("inf-energy", partial(_noise_decomposition, 1024, 2.0**1000), (64, None),
+     ("uint8", "uint16")),
+    ("inf-energy-binned", partial(_noise_decomposition, 1024, 2.0**1000), (64, 50),
+     ("uint8", "uint8")),
+    ("zero-cells-dropped", partial(_tone_and_zero_imf, 512), (32, None), ("uint8", "uint16")),
+    ("no-cells", partial(_only_zero_imf, 256), (32, 40), ("uint8", "uint8")),
+]
+
+
+@pytest.mark.parametrize("make, bins, types", [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_cells_match_the_one_pass_build(make, bins, types):
+    d = make()
+    h = hilbert_spectrum(d, *bins)
+    want = _unique_build(d, *bins)
+    assert [c.dtype for c in h.cells] == [np.dtype(types[0]), np.dtype(types[1]), np.float64]
+    assert [c.tobytes() for c in h.cells] == \
+        [w.astype(c.dtype).tobytes() for w, c in zip(want, h.cells)]
+
+
+def test_oracle_cases_cover_the_edges():
+    make = {name: make for name, make, _, _ in ORACLE_CASES}
+    assert np.isinf(hilbert_spectrum(make["inf-energy"](), 64).cells[2]).any()
+    # The zero IMF puts every sample in bin 0 with no energy, and the
+    # 20 Hz tone none there, so those cells are dropped.
+    f, _, e = hilbert_spectrum(make["zero-cells-dropped"](), 32).cells
+    assert not np.any(f == 0) and e.all() and e.size == 512
+    assert hilbert_spectrum(make["no-cells"](), 32, 40).cells[2].size == 0
+    assert make["columns-wider-than-a-block"]().imfs[0].n / 3 > 1024
+
+
+def test_overflowed_frequency_goes_to_the_top_bin():
+    # At a sample rate near the top of the float64 range the phase
+    # derivative overflows to +inf: a frequency at Nyquist, not below zero.
+    x = SampledSignal(np.random.default_rng(9).standard_normal(512), 1e308)
+    d = Decomposition((x,), x.with_samples(np.zeros(x.n)), Variant.EMD)
+    with np.errstate(over="ignore"):
+        inst_freq = analytic_signal(x).inst_freq
+    assert np.isposinf(inst_freq).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hilbert_spectrum(d, n_freq_bins=16)
+    f, t, e = h.cells
+    assert h.negative_if_samples == np.count_nonzero(inst_freq < 0)
+    assert set(np.flatnonzero(np.isposinf(inst_freq))) <= set(t[f == 15].tolist())

@@ -280,6 +280,19 @@ class TestMemd:
             # Completeness and the energy identity, and for epmemd the chain.
             assert [ok for _, ok, _ in verdicts(ch, d)] == [True] * (3 if decompose is epmemd else 2)
 
+    @pytest.mark.parametrize("n", [64, 1000])
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_constant_sum_channels_have_no_modes(self, n, decompose):
+        # A ramp and its reversal: the 45-degree projections are constant
+        # but for rounding noise, whose extrema are no envelope; every other
+        # projection is monotone.
+        ramp = np.arange(n, dtype=float)
+        x = MultivariateSignal((SampledSignal(ramp, 1.0), SampledSignal(ramp[::-1].copy(), 1.0)))
+        md = decompose(x, 8, SiftConfig(max_imfs=50))
+        assert md.imfs == ()
+        for ch, d in zip(x.channels, md.channels):
+            assert d.residue.samples.tobytes() == ch.samples.tobytes()
+
 
 class TestMultivariateDecomposition:
     def test_one_decomposition_per_channel(self, multitone_decomp):
