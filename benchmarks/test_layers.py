@@ -2,8 +2,9 @@
 routines, one sift, a whole EMD and a whole MEMD, at the sizes the
 benchmark workloads use them and, for the univariate layers, at 16,384
 samples too; the analytic signal and the Hilbert spectrum at 16,384
-samples; and the CLI's CSV formatting and parsing of a 16,384 x 15
-table, the shape of cli-roundtrip's imfs.csv.
+samples; the CLI's CSV formatting and parsing of a 16,384 x 15
+table, the shape of cli-roundtrip's imfs.csv; and the import of
+emdkit and its CLI in a fresh interpreter.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # each case once
@@ -12,9 +13,15 @@ The directory lies outside ``testpaths``, so the tier-1 suite does not
 collect it. Each case also checks its result, so the file cannot rot.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import emdkit
 from emdkit import (
     SampledSignal,
     analytic_signal,
@@ -198,3 +205,16 @@ def test_csv_parse(benchmark, tmp_path, wide_csv):
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     assert benchmark(cli._load_plain, path).tobytes() == table.tobytes()
+
+
+def test_import_emdkit_cli(benchmark):
+    # A whole interpreter start, as every emdkit process pays it; the
+    # scipy.linalg package must stay out of it.
+    src = str(Path(emdkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, emdkit, emdkit.cli; sys.exit('scipy.linalg' in sys.modules)"
+
+    def fresh():
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+    assert benchmark.pedantic(fresh, rounds=5, warmup_rounds=1) == 0

@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emdkit
 from emdkit import SampledSignal
 
 
@@ -20,6 +24,14 @@ def fft_peak_hz(x: SampledSignal) -> float:
     spectrum[0] = 0.0
     freqs = np.fft.rfftfreq(x.n, x.dt)
     return float(freqs[int(np.argmax(spectrum))])
+
+
+def fresh_process(code: str) -> int:
+    """Exit status of ``python -c code`` in a fresh interpreter that imports
+    this emdkit."""
+    src = str(Path(emdkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
 
 def traced_peak_mb(fn, *args) -> float:

@@ -10,7 +10,7 @@ from emdkit import (
     detect_extrema,
 )
 from emdkit import envelope
-from conftest import sine
+from conftest import fresh_process, sine
 
 
 class TestDetectExtrema:
@@ -215,6 +215,18 @@ class TestCubicSpline:
             assert got.shape == np.shape(q)
             assert got.tobytes() == cubic_spline(t, y, flat).tobytes()
         assert float(cubic_spline(t, y, 0.5)) == cubic_spline(t, y, [0.5])[0]
+
+    @pytest.mark.parametrize("first", ["emdkit", "scipy.linalg"])
+    def test_shares_dgtsv_with_scipy_linalg(self, first):
+        # envelope loads scipy's LAPACK extension alone; in a fresh process,
+        # whichever of emdkit and scipy.linalg comes first, both hold the
+        # one dgtsv wrapper and the one LinAlgError class.
+        second = "scipy.linalg" if first == "emdkit" else "emdkit"
+        code = (f"import sys, {first}, {second}; "
+                "env = sys.modules['emdkit.envelope']; "
+                "sys.exit(not (env.dgtsv is scipy.linalg.lapack.dgtsv "
+                "and env.LinAlgError is scipy.linalg.LinAlgError))")
+        assert fresh_process(code) == 0
 
 
 def _memo_free(t, y, q):
