@@ -1,7 +1,7 @@
 """Layer micro-benchmarks: extrema detection, the spline and envelope
-routines, one sift, a whole EMD and a whole MEMD, at the sizes the
-benchmark workloads use them and, for the univariate layers, at 16,384
-samples too; the analytic signal and the Hilbert spectrum at 16,384
+routines, one sift, a whole EMD, one lockstep batch of EMD rows and a
+whole MEMD, at the sizes the benchmark workloads use them and, for the
+univariate layers, at 16,384 samples too; the analytic signal and the Hilbert spectrum at 16,384
 samples; the CLI's CSV formatting and parsing of a 16,384 x 15
 table, the shape of cli-roundtrip's imfs.csv; and the import of
 emdkit and its CLI in a fresh interpreter.
@@ -42,6 +42,7 @@ from emdkit import (
 from emdkit import cli
 from emdkit import hsa
 from emdkit.core import _unit_stack
+from emdkit.emd import _extract_rows
 from emdkit.envelope import _LAYOUT_MEMO, _envelope_knots, _grid_pair
 
 N = 1024
@@ -143,6 +144,16 @@ def test_emd(benchmark, n):
     d = benchmark(emd, x)
     assert len(d.imfs) >= 5
     assert np.allclose(d.reconstruct().samples, x.samples, rtol=0, atol=1e-10)
+
+
+def test_extract_rows(benchmark):
+    # One lockstep batch of a noise band at 1,024 samples: 8 rows.
+    rows = np.random.default_rng(8).standard_normal((8, N))
+    modes, residues = benchmark(_extract_rows, rows, SiftConfig(), 1.0)
+    for v, ms, res in zip(rows, modes, residues, strict=True):
+        alone = emd(SampledSignal(v, 1.0))
+        assert [c.samples.tobytes() for c in (*ms, res)] == \
+            [c.samples.tobytes() for c in alone.components]
 
 
 def _scipy_fft_analytic_signal(x):

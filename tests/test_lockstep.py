@@ -7,6 +7,9 @@ of that row alone, and the multi-block spline solve behind the batched
 build must give each block the arithmetic it gets when solved alone.
 """
 
+import logging
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from emdkit import (EemdConfig, NoEnvelopeError, SampledSignal, SiftConfig, Variant,
                     build_envelopes, cubic_spline, eemd, emd, epemd, orthogonal_variants,
                     white_noise_band)
-from emdkit.emd import _trial_rng
+from emdkit.emd import _extract_rows, _trial_rng
 from emdkit.envelope import (_envelope_knots, _envelopes, _grid_pair,
                              _natural_second_derivatives)
 from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
@@ -79,6 +82,21 @@ def test_every_kind_in_one_batch(n, cfg):
     counts = {len(d.imfs) for d in _decompose_variant(rows, Variant.EMD, cfg, 1.0)}
     assert 0 in counts and len(counts) > 1
     _check_rows(rows, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_rows_log_every_sift_as_emd_does(cfg, caplog):
+    # Each sift that ends in a mode, however it is driven, logs its count.
+    rng = np.random.default_rng(11)
+    rows = np.array([_row(k, 300, rng) for k in KINDS])
+    caplog.set_level(logging.DEBUG, logger="emdkit.emd")
+    _extract_rows(rows, cfg, 1.0)
+    batch = Counter(r.getMessage() for r in caplog.records)
+    caplog.clear()
+    for v in rows:
+        emd(SampledSignal(v, 1.0), cfg)
+    assert batch == Counter(r.getMessage() for r in caplog.records)
+    assert sum(batch.values()) > len(KINDS)
 
 
 def test_envelope_rows_match_build_envelopes():
