@@ -1,9 +1,9 @@
 """Local extrema detection and natural cubic-spline envelopes for sifting.
 
 End effects: ``build_envelopes`` extends the knots past both record ends
-by the mirror rule of Rilling, Flandrin & Goncalves 2003
-(``_boundary_knots``); MEMD's ``_mirror_extend`` reflects the two extrema
-nearest each end about the record boundary.
+by the mirror rule of Rilling, Flandrin & Goncalves 2003 (``_end_knots``,
+at the start and the time-reversed end); MEMD's ``_mirror_extend``
+reflects the two extrema nearest each end about the record boundary.
 
 Every spline is evaluated by ``_evaluate`` from ``_weights``.
 ``cubic_spline`` memoises its last layout (spacings, each query's piece
@@ -11,7 +11,8 @@ and its weights), so MEMD's channels, splined through the same knot
 instants on the same grid, compute it once.
 
 The spline's one LAPACK routine, ``dgtsv``, is taken from scipy's
-compiled wrapper ``scipy.linalg._flapack``, loaded on its own: the
+compiled wrapper ``scipy.linalg._flapack``, loaded alone from scipy's
+directory (``find_spec``: no scipy package set-up runs), as the
 ``scipy.linalg`` package would add ~0.25 s and ~24 MB to every process
 for nothing else. The extension is created once per process, so a later
 ``import scipy.linalg`` shares it, and one imported before is reused.
@@ -22,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-import scipy  # its own set-up finds the bundled BLAS/LAPACK libraries
 from numpy.linalg import LinAlgError  # is scipy.linalg.LinAlgError
 
 from .core import (
@@ -34,11 +34,13 @@ from .core import (
     NoEnvelopeError,
 )
 
-_spec = PathFinder.find_spec("scipy.linalg._flapack", [scipy.__path__[0] + "/linalg"])
+# find_spec runs none of scipy's code; without scipy, __import__ raises.
+_dir = (find_spec("scipy") or __import__("scipy")).submodule_search_locations[0]
+_spec = PathFinder.find_spec("scipy.linalg._flapack", [_dir + "/linalg"])
 _flapack = module_from_spec(_spec)
 _spec.loader.exec_module(_flapack)
 dgtsv = _flapack.dgtsv
-del _spec, _flapack
+del _dir, _spec, _flapack
 
 
 @dataclass(frozen=True, eq=False)  # arrays: compare fields explicitly
@@ -242,58 +244,51 @@ def _mirror_extend(idx: np.ndarray, val: np.ndarray, n: int):
     )
 
 
-def _reflect(sym: float, idx: list, val: list):
-    """The first two knots of ``idx`` mirrored about ``sym``, in time order."""
-    return [2.0 * sym - i for i in idx[1::-1]], val[1::-1]
+def _end_knots(x0: float, ui: list, uv: list, li: list, lv: list):
+    """Upper and lower knots ``(t, v)`` before the record start, as Python
+    lists, by the mirror rule of Rilling, Flandrin & Goncalves 2003, from
+    the start sample ``x0`` and the (at most) three maxima ``ui``/``uv``
+    and minima ``li``/``lv`` nearest the start, in time order.
 
-
-def _start_knots(max_i: list, max_v: list, min_i: list, min_v: list, x0: float):
-    """Upper and lower knots before the record start (the mirror rule of
-    Rilling, Flandrin & Goncalves 2003), from the (at most) three extrema
-    of each kind nearest the start, as Python lists.
-
-    Extrema are mirrored about the first extremum; when the start sample
-    ``x0`` pokes outside the would-be envelopes it is anchored as an
-    extra extremum and the reflection pivots on the record start
-    instead, which keeps the end swing of the envelopes bounded.
-    """
-    if max_i[0] < min_i[0]:
-        if x0 > min_v[0]:
-            sym = max_i[0]
-            return _reflect(sym, max_i[1:], max_v[1:]), _reflect(sym, min_i, min_v)
-        return (_reflect(0.0, max_i, max_v),
-                _reflect(0.0, [0.0, min_i[0]], [x0, min_v[0]]))
-    if x0 < max_v[0]:
-        sym = min_i[0]
-        return _reflect(sym, max_i, max_v), _reflect(sym, min_i[1:], min_v[1:])
-    return (_reflect(0.0, [0.0, max_i[0]], [x0, max_v[0]]),
-            _reflect(0.0, min_i, min_v))
+    Extrema are mirrored about the first extremum, whose own kind then
+    reflects from its second on. When ``x0`` pokes outside the would-be
+    envelopes, the other kind takes it as an extra extremum at the start
+    and the reflection pivots on the start instead, which keeps the end
+    swing of the envelopes bounded. A kind whose reflected knots all lie
+    after the start is anchored there, at the outer of ``x0`` and its
+    first extremum."""
+    u0, l0 = uv[0], lv[0]
+    if ui[0] < li[0]:
+        if x0 > l0:
+            sym, ui, uv = ui[0], ui[1:], uv[1:]
+        else:
+            sym, li, lv = 0.0, [0.0, li[0]], [x0, l0]
+    elif x0 < u0:
+        sym, li, lv = li[0], li[1:], lv[1:]
+    else:
+        sym, ui, uv = 0.0, [0.0, ui[0]], [x0, u0]
+    out = []
+    for i, v, pick, first in ((ui, uv, max, u0), (li, lv, min, l0)):
+        t, v = [2.0 * sym - j for j in i[1::-1]], v[1::-1]
+        if t[0] > 0:
+            t, v = [0.0] + t, [pick(x0, first)] + v
+        out.append((t, v))
+    return out
 
 
 def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
     """Upper and lower knot arrays ``(t, v)``: the extrema (indices int or
-    float) extended past the record ends by ``_start_knots``, the right
-    end being the start of the time-reversed record. Reflected knots
-    always lie outside the extrema they extend; a record end that no
-    reflection reaches is anchored at the nearer of the end sample and
-    the end extremum."""
+    float) extended past both record ends by ``_end_knots``, run on the start
+    and on the time-reversed end; reflections lie outside the extrema."""
     e = float(n - 1)
-    lm, ln = _start_knots(max_i[:3].tolist(), max_v[:3].tolist(),
-                          min_i[:3].tolist(), min_v[:3].tolist(), x0)
-    rm, rn = _start_knots([e - i for i in max_i[:-4:-1].tolist()], max_v[:-4:-1].tolist(),
-                          [e - i for i in min_i[:-4:-1].tolist()], min_v[:-4:-1].tolist(), xe)
-
-    def knots(left, mid_i, mid_v, right, pick):
-        ti, tv = left
-        ri = [e - i for i in right[0][::-1]]
-        rv = right[1][::-1]
-        if ti[0] > 0:
-            ti, tv = [0.0] + ti, [pick(x0, mid_v[0])] + tv
-        if ri[-1] < e:
-            ri, rv = ri + [e], rv + [pick(xe, mid_v[-1])]
-        return np.concatenate((ti, mid_i, ri)), np.concatenate((tv, mid_v, rv))
-
-    return knots(lm, max_i, max_v, rm, max), knots(ln, min_i, min_v, rn, min)
+    hu, hl = _end_knots(x0, max_i[:3].tolist(), max_v[:3].tolist(),
+                        min_i[:3].tolist(), min_v[:3].tolist())
+    tu, tl = _end_knots(xe, [e - i for i in max_i[:-4:-1].tolist()], max_v[:-4:-1].tolist(),
+                        [e - i for i in min_i[:-4:-1].tolist()], min_v[:-4:-1].tolist())
+    return ((np.concatenate((hu[0], max_i, [e - i for i in tu[0][::-1]])),
+             np.concatenate((hu[1], max_v, tu[1][::-1]))),
+            (np.concatenate((hl[0], min_i, [e - i for i in tl[0][::-1]])),
+             np.concatenate((hl[1], min_v, tl[1][::-1]))))
 
 
 def _grid_pair(ts, ys, n: int) -> np.ndarray:

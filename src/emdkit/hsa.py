@@ -54,7 +54,11 @@ def analytic_signal(x: SampledSignal) -> AnalyticAttributes:
     phase = np.angle(z)
     del z
     phase = np.unwrap(phase)
-    inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
+    with np.errstate(over="ignore"):  # a phase step over a subnormal dt
+        inst_freq = np.gradient(phase, x.dt) / (2 * np.pi)
+    big = np.isinf(inst_freq)  # recomputed in cycles per sample, times the rate
+    if big.any():
+        inst_freq[big] = np.gradient(phase)[big] / (2 * np.pi) * x.sample_rate
     return AnalyticAttributes(amplitude, phase, inst_freq, x.sample_rate)
 
 

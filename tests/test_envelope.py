@@ -1,3 +1,5 @@
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,33 @@ class TestCubicSpline:
                 "env = sys.modules['emdkit.envelope']; "
                 "sys.exit(not (env.dgtsv is scipy.linalg.lapack.dgtsv "
                 "and env.LinAlgError is scipy.linalg.LinAlgError))")
+        assert fresh_process(code) == 0
+
+    def test_import_runs_no_scipy_package_set_up(self):
+        # The LAPACK extension is found by path: importing emdkit and its
+        # CLI imports no scipy package, not even scipy itself.
+        assert fresh_process("import sys, emdkit, emdkit.cli; "
+                             "sys.exit('scipy' in sys.modules)") == 0
+
+    def test_import_without_scipy_names_it(self):
+        # With scipy not found, importing emdkit fails as an import would.
+        code = textwrap.dedent("""
+            import sys
+            from importlib.machinery import PathFinder
+
+            class NoScipy(PathFinder):
+                @classmethod
+                def find_spec(cls, name, path=None, target=None):
+                    if name.partition(".")[0] != "scipy":
+                        return super().find_spec(name, path, target)
+
+            sys.meta_path[sys.meta_path.index(PathFinder)] = NoScipy
+            try:
+                import emdkit
+            except ModuleNotFoundError as e:
+                sys.exit(e.name != "scipy")
+            sys.exit(1)
+        """)
         assert fresh_process(code) == 0
 
 

@@ -442,17 +442,23 @@ def test_oracle_cases_cover_the_edges():
     assert make["columns-wider-than-a-block"]().imfs[0].n / 3 > 1024
 
 
-def test_overflowed_frequency_goes_to_the_top_bin():
-    # At a sample rate near the top of the float64 range the phase
-    # derivative overflows to +inf: a frequency at Nyquist, not below zero.
-    x = SampledSignal(np.random.default_rng(9).standard_normal(512), 1e308)
+def test_frequency_stays_finite_at_the_top_of_the_rate_range():
+    # At a sample rate near the top of the float64 range dt is subnormal,
+    # and the phase derivative over it would overflow to +inf: those
+    # samples are taken in cycles per sample, times the rate, instead.
+    v = np.random.default_rng(9).standard_normal(512)
+    x = SampledSignal(v, 1e308)
     d = Decomposition((x,), x.with_samples(np.zeros(x.n)), Variant.EMD)
-    with np.errstate(over="ignore"):
-        inst_freq = analytic_signal(x).inst_freq
-    assert np.isposinf(inst_freq).any()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        inst_freq = analytic_signal(x).inst_freq
         h = hilbert_spectrum(d, n_freq_bins=16)
+    assert np.isfinite(inst_freq).all()
+    assert np.abs(inst_freq).max() <= x.sample_rate / 2
+    per_sample = analytic_signal(SampledSignal(v, 1.0)).inst_freq
+    np.testing.assert_allclose(inst_freq / x.sample_rate, per_sample, rtol=0, atol=1e-15)
+    # Each sample is binned at its own frequency, not clipped into the top bin.
     f, t, e = h.cells
+    want = np.clip(np.floor(inst_freq / (x.sample_rate / 32)), 0, 15)
+    assert f.tolist() == want[t].tolist() and (f < 15).any()
     assert h.negative_if_samples == np.count_nonzero(inst_freq < 0)
-    assert set(np.flatnonzero(np.isposinf(inst_freq))) <= set(t[f == 15].tolist())

@@ -8,6 +8,9 @@ build must give each block the arithmetic it gets when solved alone.
 """
 
 import logging
+import platform
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_process
 from emdkit import (EemdConfig, NoEnvelopeError, SampledSignal, SiftConfig, Variant,
                     build_envelopes, cubic_spline, eemd, emd, epemd, orthogonal_variants,
                     white_noise_band)
@@ -214,3 +218,25 @@ def test_eemd_matches_a_per_trial_loop(n, kind):
     d = eemd(x, scfg, ecfg)
     want = _reference_eemd(x, scfg, ecfg)
     assert [c.samples.tobytes() for c in d.components] == [w.tobytes() for w in want]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc's heap trimming in Linux minor page faults")
+def test_band_steps_keep_their_heap_pages():
+    # _extract_rows keeps each step's envelope pairs referenced until the
+    # next build. Freed at once, glibc gave their pages back to the OS and
+    # every step faulted them in again: 42-44k minor faults per serial band
+    # instead of 3-7k. A fresh interpreter, as a long session's heap can
+    # hide the cliff.
+    code = textwrap.dedent("""
+        import resource, sys
+        from emdkit import Variant, _fork, white_noise_band
+        _fork.worker_count = lambda length, shares: 1  # serial
+        white_noise_band(1024, Variant.EMD, 100)  # warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        white_noise_band(1024, Variant.EMD, 100)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(faults, "minor faults in a warm serial band", file=sys.stderr)
+        sys.exit(faults >= 12_000)
+    """)
+    assert fresh_process(code) == 0
