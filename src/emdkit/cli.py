@@ -533,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--output-dir", default="emdkit-out")
     dec.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: EMDKIT_SEED env var, then 0)")
-    dec.add_argument("--sd-threshold", type=float, default=0.2)
+    dec.add_argument("--sd-threshold", type=float, default=0.2,
+                     help="SD stop of the univariate sift; none on multichannel memd/epmemd")
     dec.add_argument("--max-sift-iterations", type=int, default=100)
     dec.add_argument("--max-imfs", type=int, default=0)
     dec.add_argument("--noise-ratio", type=float, default=0.2)

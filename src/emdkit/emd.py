@@ -16,7 +16,8 @@ from functools import partial
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_exponent, _unit_stack
-from .envelope import NoEnvelopeError, _envelope_knots, _envelopes, _samples, build_envelopes
+from .envelope import (EnvelopePair, NoEnvelopeError, _envelope_knots, _envelopes, _samples,
+                       build_envelopes)
 
 logger = logging.getLogger(__name__)
 
@@ -82,54 +83,65 @@ def _below_normal(x) -> bool:
 _ROUNDING_NOISE = 16 * np.finfo(float).eps
 
 
-def _rounding_noise(mode, x) -> bool:
-    """True when the peak of ``mode``, sifted from the samples ``x``, is at
-    most 16 eps times the peak of ``x``: the sift's rounding errors alone
-    make such a mode, and would make another from every residue."""
-    return float(np.abs(mode).max()) <= _ROUNDING_NOISE * float(np.abs(x).max())
-
-
 def _imf_test(v: np.ndarray, n_extrema: int, mean: np.ndarray) -> bool:
     """``is_imf`` of the validated samples ``v`` from its extrema count and mean envelope."""
     return (abs(n_extrema - _zero_crossings(v)) <= 1
             and float(np.abs(mean).max()) <= 0.05 * float(np.abs(v).max()))
 
 
-def _sd(h: np.ndarray, h_new: np.ndarray) -> float:
-    """The Cauchy SD of the sift step h -> h_new, on the pair scaled by ``_unit_stack``."""
+def _imf_or_sd(sd_threshold: float, h: np.ndarray, env, n: int):
+    """``_sift``'s default stop rule: end on ``h`` if it passes the IMF test after a
+    subtraction, else on ``h - env.mean`` if that step's Cauchy SD is at most ``sd_threshold``."""
+    if n and _imf_test(h, env.extrema.n_extrema, env.mean):
+        return None
+    h_new = h - env.mean
     (hs, ds), _ = _unit_stack(h, h - h_new)
     denom = float(np.dot(hs, hs))
-    return float(np.dot(ds, ds)) / denom if denom > 0 else 0.0
+    return h_new, denom == 0 or float(np.dot(ds, ds)) / denom <= sd_threshold
 
 
-def _sift(x: np.ndarray, cfg: SiftConfig):
-    """The sift of one IMF from the samples ``x``, for every driver: it
-    yields each candidate whose envelopes it needs, is sent back their
-    ``(n_extrema, mean)`` or None for none, and returns (imf, x - imf).
+def _sift(x: np.ndarray, cfg: SiftConfig, stop=None):
+    """The sift of one IMF from the samples ``x``, for every algorithm: it
+    yields each candidate h whose envelopes it needs, is sent them or None,
+    and returns (imf, x - imf). ``stop(h, env, n)`` returns None to end on
+    h, else the next candidate and whether to end on it; n counts the
+    subtractions, at most ``cfg.max_sift_iterations``.
 
     Raises NoEnvelopeError, which ends a decomposition, if ``x`` has no
-    envelopes at all. A nonzero ``x`` below the normal floating-point
-    range counts as having none: its samples carry too few significant
-    bits, and the spline's rounding noise would feed new extrema to every
-    residue. So does an ``x`` whose IMF comes out as rounding noise.
+    envelopes at all, is nonzero but below the normal range, or sifts to an
+    IMF peaking at most ``_ROUNDING_NOISE`` of ``x``'s: in the last two the
+    sift's rounding noise alone would make a mode of every residue.
     """
     if _below_normal(x):
         raise NoEnvelopeError("amplitude below the normal floating-point range")
-    h = x
-    env = yield h
-    if env is None:
-        raise NoEnvelopeError("no envelopes")
-    for it in range(cfg.max_sift_iterations):
-        h_old, h = h, h - env[1]
-        if _sd(h_old, h) <= cfg.sd_threshold:
-            break
+    stop = stop or partial(_imf_or_sd, cfg.sd_threshold)
+    h, n, last = x, 0, False
+    while not last and n < cfg.max_sift_iterations:
         env = yield h
-        if env is None or _imf_test(h, *env):
+        if env is None and n == 0:
+            raise NoEnvelopeError("no envelopes")
+        if env is None or (step := stop(h, env, n)) is None:
             break
-    logger.debug("sift finished after %d iteration(s)", it + 1)
-    if _rounding_noise(h, x):
+        (h, last), n = step, n + 1
+    logger.debug("sift finished after %d iteration(s)", n)
+    if float(np.abs(h).max()) <= _ROUNDING_NOISE * float(np.abs(x).max()):
         raise NoEnvelopeError("the IMF is rounding noise")
     return h, x - h
+
+
+def _drive(sift, build, wrap):
+    """Run the ``_sift`` generator ``sift``, sending it ``build(h)`` per candidate h,
+    or None where that raises NoEnvelopeError; returns wrap(imf), wrap(residue)."""
+    env = None
+    try:
+        while True:
+            h = sift.send(env)
+            try:
+                env = build(h)
+            except NoEnvelopeError:
+                env = None
+    except StopIteration as done:
+        return tuple(map(wrap, done.value))
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
@@ -137,18 +149,7 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     per candidate; returns (imf, residue), imf + residue == x to within
     one rounding per sample. Raises NoEnvelopeError where ``_sift`` does.
     """
-    sift, env = _sift(x.samples, cfg), None
-    try:
-        while True:
-            h = sift.send(env)
-            try:
-                built = build_envelopes(h)
-                env = built.extrema.n_extrema, built.mean
-            except NoEnvelopeError:
-                env = None
-    except StopIteration as done:
-        imf, residue = done.value
-    return x.with_samples(imf), x.with_samples(residue)
+    return _drive(_sift(x.samples, cfg), build_envelopes, x.with_samples)
 
 
 def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
@@ -224,9 +225,9 @@ def _extract_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float, stages=
         # The pairs stay referenced until the next build: freed at once, their
         # heap pages went back to the OS and were faulted in every step (one CPU
         # of a 2-core x86 box: 42k minor faults per band against 5k, ~30% slower).
-        pairs, means = _envelopes([k for k in knots if k is not None], rows.shape[1])
-        means = iter(means)
-        sifts = [(r, sift, None if k is None else (k[0].n_extrema, next(means)))
+        pairs, means = _envelopes([k for k in knots if k], rows.shape[1])
+        built = map(EnvelopePair, pairs[:, 0], pairs[:, 1], means, (k[0] for k in knots if k))
+        sifts = [(r, sift, None if k is None else next(built))
                  for (r, sift, _), k in zip(cands, knots)]
     return [m for m, _ in out], [w for _, w in out]
 

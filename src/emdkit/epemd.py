@@ -82,5 +82,6 @@ def epmemd(x: MultivariateSignal, K: int = 64,
            cfg: SiftConfig = SiftConfig()) -> MultivariateDecomposition:
     """Energy-preserving multivariate EMD: per-stage MEMD extraction
     followed by channel-wise orthogonalization against the residue. A
-    single-channel input falls back to ``epemd``."""
+    single-channel input falls back to ``epemd``; on more channels
+    ``cfg.sd_threshold`` has no effect."""
     return _multivariate_modes(x, K, cfg, Variant.EPMEMD, epemd, _orthogonalize_channels)

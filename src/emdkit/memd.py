@@ -5,9 +5,9 @@ multivariate sifting.
 Directions come from the Hammersley point set on the unit cube (first
 coordinate k/K, remaining coordinates van der Corput radical inverses in
 successive prime bases) mapped linearly through spherical angles. The
-multivariate stoppage criterion accepts a mode once the mean-envelope
-max-norm falls below 0.075 of the mode max-norm across all channels; the
-univariate extrema/zero-crossing condition is not imposed.
+sift is ``emd._sift`` under MEMD's stop rule alone (no IMF test, no SD
+stop): a mode is accepted once the mean-envelope max-norm is at most
+0.075 of the mode max-norm across all channels.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import (
     Variant,
     _unit_exponent,
 )
-from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _extract_modes, _rounding_noise, emd
+from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _drive, _extract_modes, _sift, emd
 from .envelope import _envelope_extrema, _mirror_extend, cubic_spline
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
@@ -267,28 +267,10 @@ def multivariate_mean_envelope(x: MultivariateSignal, dirs: DirectionSet,
     return acc / used
 
 
-def _extract_one_multivariate_imf(x: MultivariateSignal, dirs: DirectionSet,
-                                  cfg: SiftConfig, pipes=()):
-    """One MEMD mode from ``x``: repeated mean-envelope subtraction until
-    the stoppage ratio holds. Returns (mode, residue); raises
-    NoEnvelopeError when ``x`` has no envelope or the mode is rounding
-    noise (end of decomposition)."""
-    data = mode = x.as_array()
-    work = x
-    for it in range(cfg.max_sift_iterations):
-        try:
-            env = multivariate_mean_envelope(work, dirs, pipes)
-        except NoEnvelopeError:
-            if it == 0:
-                raise
-            break
-        if float(np.abs(env).max()) <= ENVELOPE_RATIO_THRESHOLD * float(np.abs(mode).max()):
-            break
-        mode = mode - env
-        work = x.from_array(mode)
-    if _rounding_noise(mode, data):
-        raise NoEnvelopeError("the mode is rounding noise")
-    return x.from_array(mode), x.from_array(data - mode)
+def _ratio_stop(h: np.ndarray, mean: np.ndarray, n: int):
+    """``_sift``'s stop rule for MEMD: end on ``h`` once ``mean`` is small against it."""
+    small = float(np.abs(mean).max()) <= ENVELOPE_RATIO_THRESHOLD * float(np.abs(h).max())
+    return None if small else (h - mean, False)
 
 
 def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant: Variant,
@@ -320,9 +302,12 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
                       _fork.shares(K, workers)[1:]) as pipes:
 
         def extract(work):
-            if float(np.abs(work.as_array()).max()) <= floor:
+            samples = work.as_array()
+            if float(np.abs(samples).max()) <= floor:
                 raise NoEnvelopeError("the residue is negligible or below the normal range")
-            return _extract_one_multivariate_imf(work, dirs, cfg, pipes)
+            return _drive(_sift(samples, cfg, _ratio_stop),
+                          lambda h: multivariate_mean_envelope(work.from_array(h), dirs, pipes),
+                          work.from_array)
 
         modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
     *modes, residue = (x.from_array(np.ldexp(m.as_array(), -k)) for m in (*modes, residue))
@@ -337,6 +322,7 @@ def memd(x: MultivariateSignal, K: int = 64,
 
     Mode and channel counts are aligned by construction; per-channel
     completeness follows from the telescoping subtraction. A
-    single-channel input falls back to univariate EMD.
+    single-channel input falls back to univariate EMD; on more channels
+    ``cfg.sd_threshold`` has no effect.
     """
     return _multivariate_modes(x, K, cfg, Variant.MEMD, emd)

@@ -155,7 +155,7 @@ class TestSiftOneImf:
             sift_one_imf(x, cfg)
             assert len(built) == 2
             iterations.append(len(envelopes))
-        assert iterations[0] == 2 and iterations[1] > 4
+        assert iterations[0] == 1 and iterations[1] > 4
 
     @pytest.mark.parametrize("error", [RuntimeError, InsufficientDataError])
     def test_unexpected_errors_propagate(self, rng, monkeypatch, error):

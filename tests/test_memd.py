@@ -1,3 +1,5 @@
+import logging
+import re
 import sys
 import threading
 from functools import partial
@@ -26,6 +28,7 @@ from emdkit import (
     multivariate_mean_envelope,
 )
 from emdkit import _fork
+from emdkit.emd import _ROUNDING_NOISE
 from emdkit.memd import DirectionSet, _primes, _radical_inverse
 from emdkit.metrics import verdicts
 from conftest import fft_peak_hz, no_child_left, sine
@@ -461,3 +464,119 @@ class TestForkedDirections:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive() and forks == []
+
+
+def _old_sift(x, dirs, cfg, subtractions):
+    """The MEMD sift as it was written before it ran ``emd._sift``, kept as
+    the reference; appends its subtraction count to ``subtractions`` once
+    it gets past the first build, where ``_sift`` logs it."""
+    data = mode = x.as_array()
+    work = x
+    for it in range(cfg.max_sift_iterations):
+        try:
+            env = memd_module.multivariate_mean_envelope(work, dirs, ())
+        except NoEnvelopeError:
+            if it == 0:
+                raise
+            break
+        if float(np.abs(env).max()) <= memd_module.ENVELOPE_RATIO_THRESHOLD * float(
+                np.abs(mode).max()):
+            break
+        mode = mode - env
+        work = x.from_array(mode)
+    else:
+        it = cfg.max_sift_iterations
+    subtractions.append(it)
+    if float(np.abs(mode).max()) <= _ROUNDING_NOISE * float(np.abs(data).max()):
+        raise NoEnvelopeError("the mode is rounding noise")
+    return x.from_array(mode), x.from_array(data - mode)
+
+
+def _sifted(monkeypatch, decompose, x, K, cfg, reference):
+    """``decompose(x, K, cfg)``, serial, by its own sift or, with
+    ``reference``, by ``_old_sift`` under the same mode loop, residue floor
+    and EPMEMD stage. Returns the decomposition, the mean envelopes built
+    for each mode extraction (the last, which ends the loop, included) and
+    the reference's subtraction count per sift."""
+    builds, subtractions = [], []
+    envelope, modes_loop = memd_module.multivariate_mean_envelope, memd_module._extract_modes
+
+    def counted_envelope(*args):
+        builds[-1] += 1
+        return envelope(*args)
+
+    def extract_modes(start, extract, stage, max_imfs):
+        if reference:
+            dirs = hammersley_directions(x.n_channels, K)
+            floor = max(memd_module.NEGLIGIBLE_RESIDUE_THRESHOLD * float(
+                np.abs(start.as_array()).max()), np.finfo(float).tiny)
+
+            def extract(work):
+                if float(np.abs(work.as_array()).max()) <= floor:
+                    raise NoEnvelopeError("the residue is negligible")
+                return _old_sift(work, dirs, cfg, subtractions)
+
+        def counted_extract(work):
+            builds.append(0)
+            return extract(work)
+
+        return modes_loop(start, counted_extract, stage, max_imfs)
+
+    with monkeypatch.context() as m:
+        m.setattr(memd_module, "multivariate_mean_envelope", counted_envelope)
+        m.setattr(memd_module, "_extract_modes", extract_modes)
+        d = decompose(x, K, cfg)
+    return d, builds, subtractions
+
+
+def _six_samples():
+    return MultivariateSignal((SampledSignal(np.array([-1.0, -1, -3, 1, -3, 0]), 1.0),
+                               SampledSignal(np.array([2.0, 0, 1, 2, -2, -3]), 1.0)))
+
+
+def _same_sines():
+    s = sine(8.0, 256.0, 2.0)
+    return MultivariateSignal((s, s))
+
+
+ORACLE_CASES = {
+    "multitone4 default": (_multitone, 8, SiftConfig()),
+    "multitone4 capped": (_multitone, 8, CAPPED),
+    "multitone4 one sift": (_multitone, 8, SiftConfig(max_imfs=2, max_sift_iterations=1)),
+    "six samples": (_six_samples, 6, SiftConfig(max_imfs=1)),
+    "identical sines": (_same_sines, 8, SiftConfig()),
+}
+
+
+class TestSharedSift:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_same_bytes_and_builds_as_the_old_loop(self, monkeypatch, cpus, decompose, case):
+        cpus(1)
+        make, K, cfg = ORACLE_CASES[case]
+        got, builds, _ = _sifted(monkeypatch, decompose, make(), K, cfg, reference=False)
+        want, want_builds, _ = _sifted(monkeypatch, decompose, make(), K, cfg, reference=True)
+        assert _component_bytes(got) == _component_bytes(want)
+        assert [c.diagnostics for c in got.channels] == [c.diagnostics for c in want.channels]
+        assert builds == want_builds
+        if case == "identical sines":  # the ratio stops the first sift at its first build
+            assert builds[0] == 1 and len(got.imfs) > 0
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_logs_each_mode_sift_as_emd_does(self, monkeypatch, cpus, caplog, decompose, case):
+        cpus(1)
+        make, K, cfg = ORACLE_CASES[case]
+        caplog.set_level(logging.DEBUG, logger="emdkit.emd")
+        d = decompose(make(), K, cfg)
+        logged = [int(re.fullmatch(r"sift finished after (\d+) iteration\(s\)",
+                                   r.getMessage())[1]) for r in caplog.records]
+        *_, subtractions = _sifted(monkeypatch, decompose, make(), K, cfg, reference=True)
+        assert len(logged) == len(d.imfs) > 0
+        assert logged == subtractions
+
+    @pytest.mark.parametrize("decompose", [memd, epmemd])
+    def test_sd_threshold_has_no_effect(self, decompose):
+        cfgs = [SiftConfig(sd_threshold=sd, max_imfs=2) for sd in (0.2, 1e-9)]
+        out = [_component_bytes(decompose(_multitone(), 8, cfg)) for cfg in cfgs]
+        assert out[0] == out[1]
