@@ -4,7 +4,7 @@ blank, so that a deletion of code can be told apart from a thinned
 docstring. A line holding any code token is code; a string statement
 (a docstring, or a string standing alone) makes its lines docstring.
 
-    python benchmarks/src_size.py [source directory]
+    python benchmarks/src_size.py
 """
 
 import io
@@ -46,11 +46,10 @@ def line_kinds(path: Path) -> list[str]:
             for kinds in found[1:]]
 
 
-def main(argv=None) -> int:
-    src = Path((argv or sys.argv[1:] or [SRC])[0])
-    kinds = Counter(k for path in sorted(src.glob("*.py")) for k in line_kinds(path))
+def main() -> int:
+    kinds = Counter(k for path in sorted(SRC.glob("*.py")) for k in line_kinds(path))
     total = sum(kinds.values())
-    print(f"{src}: {total} lines = {kinds['code']} code + {kinds['docstring']} docstring"
+    print(f"{SRC}: {total} lines = {kinds['code']} code + {kinds['docstring']} docstring"
           f" + {kinds['comment']} comment + {kinds['blank']} blank")
     return 0
 

@@ -16,8 +16,7 @@ from functools import partial
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_exponent, _unit_stack
-from .envelope import (EnvelopePair, NoEnvelopeError, _envelope_knots, _envelopes, _samples,
-                       build_envelopes)
+from .envelope import NoEnvelopeError, _envelope_knots, _envelopes, _samples, build_envelopes
 
 logger = logging.getLogger(__name__)
 
@@ -90,11 +89,12 @@ def _imf_test(v: np.ndarray, n_extrema: int, mean: np.ndarray) -> bool:
 
 
 def _imf_or_sd(sd_threshold: float, h: np.ndarray, env, n: int):
-    """``_sift``'s default stop rule: end on ``h`` if it passes the IMF test after a
-    subtraction, else on ``h - env.mean`` if that step's Cauchy SD is at most ``sd_threshold``."""
-    if n and _imf_test(h, env.extrema.n_extrema, env.mean):
+    """``_sift``'s default stop rule, sent ``env = (n_extrema, mean)``: end on ``h`` if it
+    passes the IMF test after a subtraction, else on ``h - mean`` if that step's Cauchy SD
+    is at most ``sd_threshold``."""
+    if n and _imf_test(h, *env):
         return None
-    h_new = h - env.mean
+    h_new = h - env[1]
     (hs, ds), _ = _unit_stack(h, h - h_new)
     denom = float(np.dot(hs, hs))
     return h_new, denom == 0 or float(np.dot(ds, ds)) / denom <= sd_threshold
@@ -149,7 +149,8 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     per candidate; returns (imf, residue), imf + residue == x to within
     one rounding per sample. Raises NoEnvelopeError where ``_sift`` does.
     """
-    return _drive(_sift(x.samples, cfg), build_envelopes, x.with_samples)
+    return _drive(_sift(x.samples, cfg),
+                  lambda h: ((e := build_envelopes(h)).extrema.n_extrema, e.mean), x.with_samples)
 
 
 def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
@@ -225,9 +226,9 @@ def _extract_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float, stages=
         # The pairs stay referenced until the next build: freed at once, their
         # heap pages went back to the OS and were faulted in every step (one CPU
         # of a 2-core x86 box: 42k minor faults per band against 5k, ~30% slower).
-        pairs, means = _envelopes([k for k in knots if k], rows.shape[1])
-        built = map(EnvelopePair, pairs[:, 0], pairs[:, 1], means, (k[0] for k in knots if k))
-        sifts = [(r, sift, None if k is None else next(built))
+        pairs, means = _envelopes([k for k in knots if k is not None], rows.shape[1])
+        means = iter(means)
+        sifts = [(r, sift, None if k is None else (k[0].n_extrema, next(means)))
                  for (r, sift, _), k in zip(cands, knots)]
     return [m for m, _ in out], [w for _, w in out]
 
