@@ -1,10 +1,11 @@
 """Layer micro-benchmarks: extrema detection, the end knots, the spline
 and envelope routines, one sift, a whole EMD, one lockstep batch of EMD
-rows and a whole MEMD, at the sizes the benchmark workloads use them and, for the
-univariate layers, at 16,384 samples too; the analytic signal and the Hilbert spectrum at 16,384
-samples; the CLI's CSV formatting and parsing of a 16,384 x 15
-table, the shape of cli-roundtrip's imfs.csv; and the import of
-emdkit and its CLI in a fresh interpreter.
+rows and a whole MEMD, at the sizes the benchmark workloads use them and,
+for the univariate layers, at 16,384 samples too (a whole EMD also at
+65,536); the analytic signal at 16,384 samples and the Hilbert spectrum
+at 16,384 and 262,144; the CLI's CSV formatting and parsing of a
+16,384 x 15 table, the shape of cli-roundtrip's imfs.csv; and the import
+of emdkit and its CLI in a fresh interpreter.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # each case once
@@ -150,7 +151,7 @@ def test_sift_one_imf(benchmark, n):
     assert abs(imf.samples.mean()) < 0.1 * np.abs(imf.samples).max()
 
 
-@pytest.mark.parametrize("n", [1024, 16384])
+@pytest.mark.parametrize("n", [1024, 16384, 65536])
 def test_emd(benchmark, n):
     x = SampledSignal(_noise(n), 1.0)
     d = benchmark(emd, x)

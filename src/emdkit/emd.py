@@ -16,7 +16,8 @@ from functools import partial
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_exponent, _unit_stack
-from .envelope import NoEnvelopeError, _envelope_knots, _envelopes, _samples, build_envelopes
+from .envelope import (NoEnvelopeError, _BATCH_SAMPLES, _envelope_knots, _envelopes, _samples,
+                       build_envelopes)
 
 logger = logging.getLogger(__name__)
 
@@ -172,12 +173,6 @@ def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
         mode, work = pair if stage is None else stage(*pair)
         modes.append(mode)
     return tuple(modes), work
-
-
-#: Most samples one lockstep envelope build takes: 8 rows at n = 1,024,
-#: one from n = 8,193 up. Twice that was ~6% slower on a noise band: the
-#: grid evaluation of 16 rows outgrows the cache.
-_BATCH_SAMPLES = 8192
 
 
 def _row_batches(count: int, n: int) -> list[range]:

@@ -5,7 +5,8 @@ by the mirror rule of Rilling, Flandrin & Goncalves 2003 (``_end_knots``,
 at the start and the time-reversed end); MEMD's ``_mirror_extend``
 reflects the two extrema nearest each end about the record boundary.
 
-Every spline is evaluated by ``_evaluate`` from ``_weights``.
+Every spline is evaluated by ``_evaluate`` from ``_weights``; a long
+record's grid in slices whose temporaries the heap reuses (``_BATCH_SAMPLES``).
 ``cubic_spline`` memoises its last layout (spacings, each query's piece
 and its weights), so MEMD's channels, splined through the same knot
 instants on the same grid, compute it once.
@@ -168,13 +169,13 @@ def _weights(t, h, idx, q):
     return a, b, ca, cb, hi
 
 
-def _evaluate(y, m, idx, weights) -> np.ndarray:
+def _evaluate(y, m, idx, weights, out=None) -> np.ndarray:
     """The spline with knot values ``y`` and second derivatives ``m`` at
     the queries of ``weights`` (``_weights``), each on the piece from knot
     ``idx`` to knot ``idx + 1``: ``a*y0 + b*y1 + ((a**3 - a)*m0 +
-    (b**3 - b)*m1) * hi**2 / 6``, in that order of operations."""
+    (b**3 - b)*m1) * hi**2 / 6``, in that order of operations, into ``out``."""
     a, b, ca, cb, hi2 = weights
-    out = y[idx]
+    out = y.take(idx, out=out, mode="clip")  # idx is in range; "raise" buffers out
     out *= a
     w = y[1:][idx]
     w *= b
@@ -291,31 +292,49 @@ def _boundary_knots(max_i, max_v, min_i, min_v, x0: float, xe: float, n: int):
              np.concatenate((hl[1], min_v, tl[1][::-1]))))
 
 
+#: Samples in a lockstep batch: 8 rows at n = 1,024, one from 8,193 up (16
+#: rows were ~6% slower on a noise band: their grid outgrows the cache). A
+#: grid of more queries than a batch's two envelopes is evaluated this many
+#: at a time: each temporary is then 64 KiB, below glibc's 128 KiB mmap
+#: threshold, so the heap reuses it, where whole builds faulted it in anew.
+_BATCH_SAMPLES = 8192
+
+
 def _grid_pair(ts, ys, n: int) -> np.ndarray:
     """The natural splines through the knot blocks ``ts[i]``/``ys[i]``
     (for envelopes: each row's upper, then lower knots) on the sample
     grid 0...n-1, as one array of ``len(ts) * n`` values, block after
-    block: one block solve, one evaluation.
+    block: one block solve, then one evaluation, in slices of
+    ``_BATCH_SAMPLES`` queries past twice that: the same arithmetic, on
+    temporaries below the mmap threshold, which the heap reuses.
 
     The knots are whole numbers covering the grid, so the piece of each
     grid point follows from counting grid points per knot gap, with the
     point n-1 on a block's last piece, as a clamped search would place
     it.
     """
-    t = np.concatenate(ts)
-    y = np.concatenate(ys)
+    t, y = np.concatenate(ts), np.concatenate(ys)
     ends = np.cumsum([b.size for b in ts]) - 1  # each block's last knot
     h = t[1:] - t[:-1]
     m = _natural_second_derivatives(h, y, (ends[:-1] + 1).tolist())
     c = t.astype(np.intp)
-    np.maximum(c, 0, out=c)
-    np.minimum(c, n, out=c)
+    np.clip(c, 0, n, out=c)
     c[ends] = n
-    counts = c[1:] - c[:-1]
-    counts[ends[:-1]] = 0  # the gap between two blocks holds no grid point
-    idx = np.repeat(np.arange(t.size - 1), counts)
-    q = np.concatenate([np.arange(n, dtype=float)] * len(ts))
-    return _evaluate(y, m, idx, _weights(t, h, idx, q))
+    size, out = len(ts) * n, None
+    c += np.repeat(np.arange(0, size, n), [b.size for b in ts])  # piece j: c[j]...c[j+1]-1
+    grid = np.arange(n, dtype=float)
+    step = size if size <= 2 * _BATCH_SAMPLES else _BATCH_SAMPLES
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        first, last = c.searchsorted(lo, "right") - 1, c.searchsorted(hi)
+        idx = np.repeat(np.arange(first, last), np.diff(np.clip(c[first:last + 1], lo, hi)))
+        q = np.concatenate([grid[max(lo - b, 0):hi - b] for b in range(lo - lo % n, hi, n)])
+        weights = _weights(t, h, idx, q)
+        # Allocated after the first temporaries, the result lies above them
+        # on the heap, so glibc cannot trim their pages once they are freed.
+        out = np.empty(size) if out is None else out
+        _evaluate(y, m, idx, weights, out[lo:hi])
+    return out
 
 
 #: Peak |knot value| range with ample headroom for the envelope arithmetic:

@@ -25,6 +25,7 @@ from .core import (
     SampledSignal,
     Variant,
     remove_mean,
+    _unit_exponent,
     _unit_stack,
 )
 from .emd import is_imf
@@ -49,7 +50,8 @@ def gram_schmidt(inputs) -> GsomResult:
 
     Returns components p_i = c_i * s_i where s_i is the orthogonal basis
     and c_i the i-th column sum of the coefficient matrix, so that
-    sum(p_i) equals sum(inputs) elementwise up to roundoff.
+    sum(p_i) equals sum(inputs) elementwise up to roundoff. The sweep
+    runs in place on one scaled copy of the inputs: s_k overwrites row k.
     """
     inputs = list(inputs)
     if not inputs:
@@ -58,13 +60,12 @@ def gram_schmidt(inputs) -> GsomResult:
     for sig in inputs[1:]:
         ref._check_compatible(sig)
 
-    m = len(inputs)
-    y, exp = _unit_stack(*(sig.samples for sig in inputs))
-    s = np.zeros_like(y)
-    coeff = np.eye(m)
+    s, exp = _unit_stack(*(sig.samples for sig in inputs))
+    coeff = np.eye(len(s))
     energy = []  # np.dot(s[i], s[i]) of each basis vector
-    for k in range(m):
-        v = y[k].copy()
+    for k in range(len(s)):
+        v = s[k]
+        e_in = np.dot(v, v)
         # Two projection passes keep orthogonality at roundoff level even
         # for ill-conditioned component sets; coefficients accumulate so
         # the unitriangular representation stays exact.
@@ -73,14 +74,13 @@ def gram_schmidt(inputs) -> GsomResult:
                 c = np.dot(v, s[i]) / energy[i]
                 v -= c * s[i]
                 coeff[k, i] += c
-        if np.dot(v, v) <= DEPENDENCE_THRESHOLD * np.dot(y[k], y[k]):
+        if (e := np.dot(v, v)) <= DEPENDENCE_THRESHOLD * e_in:
             raise RankDeficiencyError(k)
-        s[k] = v
-        energy.append(np.dot(s[k], s[k]))
+        energy.append(e)
 
     col_sums = coeff.sum(axis=0)
-    components = tuple(ref.with_samples(np.ldexp(col_sums[i] * s[i], -exp)) for i in range(m))
-    return GsomResult(components, coeff, col_sums)
+    np.ldexp(np.multiply(s, col_sums[:, None], out=s), -exp, out=s)
+    return GsomResult(tuple(map(ref.with_samples, s)), coeff, col_sums)
 
 
 def _variant_ordering(d: Decomposition, variant: Variant):
@@ -112,7 +112,8 @@ def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
     # A (near-)zero component carries no direction to orthogonalize
     # against -- a constant residue centered by the uncorrelated variants
     # is the common case -- so, like OIMF's residue, it keeps its slot.
-    energies = [float(np.dot(s, s)) for s in _unit_stack(*(c.samples for c in out))[0]]
+    k = _unit_exponent(*(c.samples for c in out))
+    energies = [float(np.dot(u, u)) for u in (np.ldexp(c.samples, k) for c in out)]
     e_total = sum(energies)
     active = [i for i in order if energies[i] > 1e-24 * e_total]
     # No active component (an OIMF of no IMFs, a centred constant): nothing to sweep.

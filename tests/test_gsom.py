@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from emdkit import (
     inner_product,
     orthogonal_variants,
 )
+from emdkit.core import _unit_stack
 from conftest import sine
 
 
@@ -94,6 +96,36 @@ class TestGramSchmidt:
         assert type(exc) is RankDeficiencyError and exc.index == 3
         assert str(exc) == str(RankDeficiencyError(3))
 
+
+def _out_of_place_sweep(inputs):
+    """``gram_schmidt``'s components and coefficients from the sweep with a
+    basis stack of its own beside the inputs' copy: reference bytes."""
+    y, exp = _unit_stack(*(x.samples for x in inputs))
+    s = np.zeros_like(y)
+    coeff = np.eye(len(inputs))
+    energies = []
+    for k in range(len(inputs)):
+        v = y[k].copy()
+        for _ in range(2):
+            for i in range(k):
+                c = np.dot(v, s[i]) / energies[i]
+                v -= c * s[i]
+                coeff[k, i] += c
+        s[k] = v
+        energies.append(np.dot(s[k], s[k]))
+    col_sums = coeff.sum(axis=0)
+    return [np.ldexp(col_sums[i] * s[i], -exp) for i in range(len(inputs))], coeff
+
+
+@pytest.mark.parametrize("n, scale", [(1024, 1.0), (16384, 1.0), (4096, 1e300), (4096, 1e-300)])
+def test_in_place_sweep_matches_out_of_place_bytes(n, scale):
+    d = emd(sig(np.random.default_rng(n).standard_normal(n) * scale))
+    for order in (d.components, d.components[::-1]):
+        got = gram_schmidt(order)
+        want, coeff = _out_of_place_sweep(order)
+        assert [p.samples.tobytes() for p in got.orthogonal_components] == \
+            [w.tobytes() for w in want]
+        assert got.coefficient_matrix.tobytes() == coeff.tobytes()
 
 @pytest.fixture(scope="module")
 def decomp():
@@ -177,6 +209,23 @@ class TestOrthogonalVariants:
         centred = variant in (Variant.FOUIMF, Variant.ROUIMF)
         assert out.dc_constant == (np.mean(samples) if centred else 0.0)
         np.testing.assert_allclose(out.reconstruct().samples, x.samples, rtol=1e-15)
+
+    def test_roimf_peak_memory(self):
+        # The sweep runs in place on one scaled copy of the components, and
+        # the activity energies are taken one component at a time: ROIMF of
+        # 2**16 noise samples peaks at 2.0 component stacks (that copy and
+        # the output), against 3.17 with a second stack for the basis and a
+        # third for the energies.
+        d = emd(sig(np.random.default_rng(16).standard_normal(2**16)))
+        stack = sum(c.samples.nbytes for c in d.components)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            orthogonal_variants(d, Variant.ROIMF)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * stack
 
     def test_non_gsom_variant_rejected(self, decomp):
         _, d = decomp
