@@ -16,7 +16,7 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 
 #: Longest signal worked on in forked children: past it OpenBLAS runs
 #: ``np.dot`` on its own threads, and a forked band ran 2-3x slower. Text
@@ -96,7 +96,8 @@ def forked(serve, shares):
                         pipe.close()
                     os.close(down[1])
                     os.close(up[0])
-                    serve(Pipe(os.getppid(), down[0], up[1]), share)
+                    with closing(Pipe(os.getppid(), down[0], up[1])) as pipe:
+                        serve(pipe, share)
                 finally:
                     os._exit(0)
             os.close(down[0])

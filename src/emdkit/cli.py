@@ -567,6 +567,9 @@ def main(argv=None) -> int:
             return 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # such as a --fs-stop that argparse accepts but no list holds
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

@@ -2,8 +2,8 @@
 
 End effects: ``build_envelopes`` extends the knots past both record ends
 by the mirror rule of Rilling, Flandrin & Goncalves 2003 (``_end_knots``,
-at the start and the time-reversed end); MEMD's ``_mirror_extend``
-reflects the two extrema nearest each end about the record boundary.
+at the start and the time-reversed end); MEMD's envelopes reflect the
+two extrema nearest each end about the record boundary.
 
 Every spline is evaluated by ``_evaluate`` from ``_weights``; a long
 record's grid in slices whose temporaries the heap reuses (``_BATCH_SAMPLES``).
@@ -230,19 +230,6 @@ def _natural_second_derivatives(h: np.ndarray, y: np.ndarray, starts=()) -> np.n
     if info > 0:
         raise LinAlgError("singular matrix")
     return m
-
-
-def _mirror_extend(idx: np.ndarray, val: np.ndarray, n: int):
-    """Reflect the two extrema nearest each end about the record boundary."""
-    k = min(2, idx.size)
-    left_i = -idx[:k][::-1]
-    left_v = val[:k][::-1]
-    right_i = 2 * (n - 1) - idx[-k:][::-1]
-    right_v = val[-k:][::-1]
-    return (
-        np.concatenate((left_i, idx, right_i)),
-        np.concatenate((left_v, val, right_v)),
-    )
 
 
 def _end_knots(x0: float, ui: list, uv: list, li: list, lv: list):

@@ -71,11 +71,12 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
                          diagnostics={"alphas": alphas})
 
 
-def _orthogonalize_channels(mode: MultivariateSignal, residue: MultivariateSignal):
-    """``orthogonalize_stage`` on each channel of a multivariate pair."""
-    stages = [orthogonalize_stage(m, r) for m, r in zip(mode.channels, residue.channels)]
-    return (MultivariateSignal(tuple(st.epimf for st in stages)),
-            MultivariateSignal(tuple(st.residue_out for st in stages)))
+def _orthogonalize_channels(x: MultivariateSignal, mode: np.ndarray, residue: np.ndarray):
+    """``orthogonalize_stage`` on each channel of a pair of (n, channels) matrices of ``x``."""
+    stages = [orthogonalize_stage(ch.with_samples(m), ch.with_samples(r))
+              for ch, m, r in zip(x.channels, mode.T, residue.T)]
+    return (np.column_stack([st.epimf.samples for st in stages]),
+            np.column_stack([st.residue_out.samples for st in stages]))
 
 
 def epmemd(x: MultivariateSignal, K: int = 64,
@@ -84,4 +85,5 @@ def epmemd(x: MultivariateSignal, K: int = 64,
     followed by channel-wise orthogonalization against the residue. A
     single-channel input falls back to ``epemd``; on more channels
     ``cfg.sd_threshold`` has no effect."""
-    return _multivariate_modes(x, K, cfg, Variant.EPMEMD, epemd, _orthogonalize_channels)
+    stage = partial(_orthogonalize_channels, x)
+    return _multivariate_modes(x, K, cfg, Variant.EPMEMD, epemd, stage)

@@ -27,7 +27,7 @@ from .core import (
     _unit_exponent,
 )
 from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _drive, _extract_modes, _sift, emd
-from .envelope import _envelope_extrema, _mirror_extend, cubic_spline
+from .envelope import _envelope_extrema, cubic_spline
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
 ENVELOPE_RATIO_THRESHOLD = 0.075
@@ -174,16 +174,13 @@ def hammersley_directions(n: int, K: int) -> DirectionSet:
 
 
 def _interp_channels(data: np.ndarray, knot_idx: np.ndarray, n: int) -> np.ndarray:
-    """Spline every channel through its values at the (mirror-extended)
-    knot instants; returns an (n, n_channels) envelope surface."""
+    """Spline every channel through its values at the knot instants, the two nearest
+    each record end also reflected about it; returns an (n, n_channels) envelope surface."""
+    # ``rows`` are the samples whose values the knots take, for every channel.
+    rows = np.concatenate((knot_idx[1::-1], knot_idx, knot_idx[:-3:-1]))
+    knots = np.concatenate((-rows[:2], knot_idx, 2 * (n - 1) - rows[-2:])).astype(float)
     query = np.arange(n, dtype=float)
-    # Mirror the knot instants once; ``rows`` are the samples whose values
-    # the (possibly reflected) knots take, the same for every channel.
-    ki, rows = _mirror_extend(knot_idx.astype(float), knot_idx, n)
-    out = np.empty_like(data)
-    for j in range(data.shape[1]):
-        out[:, j] = cubic_spline(ki, data[rows, j], query)
-    return out
+    return np.column_stack([cubic_spline(knots, v, query) for v in data[rows].T])
 
 
 def _direction_means(data: np.ndarray, directions: np.ndarray):
@@ -278,8 +275,8 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     """Body of memd and epmemd: MEMD extraction over K Hammersley
     directions until the residue is negligible, with ``stage`` applied to
     each extracted pair. A single-channel input goes to ``univariate``.
-    Extraction runs on the input rescaled by a power of two (exact, so
-    safe up to the top of the float64 range), and the modes are scaled back.
+    Extraction and ``stage`` run on the input's (n, channels) matrix scaled by a
+    power of two (exact, so safe to the top of the float64 range), scaled back once.
     Input below the normal range keeps its scale, as in eemd, and so falls
     under the residue floor: like emd, it has no IMFs. Where it pays, one
     forked helper per extra CPU lives as long as the extraction and takes a
@@ -302,18 +299,17 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
                       _fork.shares(K, workers)[1:]) as pipes:
 
         def extract(work):
-            samples = work.as_array()
-            if float(np.abs(samples).max()) <= floor:
+            if float(np.abs(work).max()) <= floor:
                 raise NoEnvelopeError("the residue is negligible or below the normal range")
-            return _drive(_sift(samples, cfg, _ratio_stop),
-                          lambda h: multivariate_mean_envelope(work.from_array(h), dirs, pipes),
-                          work.from_array)
+            return _drive(_sift(work, cfg, _ratio_stop),
+                          lambda h: multivariate_mean_envelope(x.from_array(h), dirs, pipes),
+                          np.asarray)  # the pair stays a pair of matrices
 
-        modes, residue = _extract_modes(x.from_array(data), extract, stage, cfg.max_imfs)
-    *modes, residue = (x.from_array(np.ldexp(m.as_array(), -k)) for m in (*modes, residue))
+        modes, residue = _extract_modes(data, extract, stage, cfg.max_imfs)
+    out = np.ldexp((*modes, residue), -k)
     return MultivariateDecomposition(tuple(
-        Decomposition(tuple(m.channels[j] for m in modes), r, variant)
-        for j, r in enumerate(residue.channels)))
+        Decomposition(tuple(map(ch.with_samples, out[:-1, :, j])), ch.with_samples(out[-1, :, j]),
+                      variant) for j, ch in enumerate(x.channels)))
 
 
 def memd(x: MultivariateSignal, K: int = 64,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import _fork
-from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant
+from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant, _unit_stack
 from .emd import SiftConfig, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
 from .epemd import _linoep_stage
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
@@ -46,15 +46,20 @@ class ConfidenceBand:
 
 
 def imf_statistics(imf: SampledSignal) -> SignificancePoint:
-    """Mean period and mean energy density of one component."""
+    """Mean period and mean energy density (inf only past the float64 range) of one component."""
     if imf.n < MIN_LENGTH:
         raise ValueError("component too short for period statistics")
     zc = zero_crossing_count(imf.samples)
     if zc == 0:
         raise PeriodUndefinedError("no zero crossings: component is a trend")
-    mean_period = 2.0 * imf.duration / zc
-    energy_density = float(np.mean(imf.samples**2))
-    return SignificancePoint(mean_period, energy_density, None)
+    (u,), k = _unit_stack(imf.samples)
+    return SignificancePoint(2.0 * imf.duration / zc, _scaled_back(float(np.mean(u**2)), k), None)
+
+
+def _scaled_back(density: float, k: int) -> float:
+    """A mean square taken on samples scaled by 2**k, scaled back: inf past the float64 range."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(density, -2 * k))
 
 
 def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
@@ -141,26 +146,28 @@ def significance_test(d: Decomposition, band: ConfidenceBand) -> list[Significan
     """Mark each IMF of ``d`` inside/outside the band.
 
     The input variance is normalized to one before testing so the
-    decision is invariant under uniform scaling; the band's percentile
-    curves are interpolated in log-log space and held at the ends.
+    decision is invariant under uniform scaling, at any finite amplitude:
+    every energy is taken on one ``_unit_stack`` of the reconstruction and
+    the IMFs. The band's percentile curves are interpolated in log-log
+    space and held at the ends.
     """
-    var = float(np.var(d.reconstruct().samples))
+    rows, k = _unit_stack(d.reconstruct().samples, *(imf.samples for imf in d.imfs))
+    var = float(np.var(rows[0]))
     scale = var if var > 0 else 1.0
     log_grid = np.log2(band.period_grid)
     log_lo = np.log2(np.maximum(band.lower_5th, 1e-300))
     log_hi = np.log2(np.maximum(band.upper_95th, 1e-300))
 
     points: list[SignificancePoint] = []
-    for imf in d.imfs:
+    for imf, u in zip(d.imfs, rows[1:]):
+        e = float(np.mean(u**2))
         try:
             pt = imf_statistics(imf)
         except PeriodUndefinedError:
-            points.append(SignificancePoint(float("nan"), float(np.mean(imf.samples**2)), None))
+            points.append(SignificancePoint(float("nan"), _scaled_back(e, k), None))
             continue
-        e_norm = pt.energy_density / scale
         lp = np.log2(pt.mean_period)
         lo = 2.0 ** float(np.interp(lp, log_grid, log_lo))
         hi = 2.0 ** float(np.interp(lp, log_grid, log_hi))
-        points.append(SignificancePoint(pt.mean_period, pt.energy_density,
-                                        lo <= e_norm <= hi))
+        points.append(SignificancePoint(pt.mean_period, pt.energy_density, lo <= e / scale <= hi))
     return points

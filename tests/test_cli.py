@@ -522,6 +522,7 @@ class TestErrors:
         ["--out", "sweep", "--fs-step", "0"],
         ["--out", "sweep", "--fs-step", "-5"],
         ["--out", "sweep", "--fs-start", "400", "--fs-stop", "105"],
+        ["--gen", "am", "--out", "sweep", "--fs-stop", "1000000000000000000"],  # no list holds it
         ["--gen", "am", "--algo", "memd", "--directions", "0"],
         ["--gen", "am", "--seed", "-1"],
         ["--gen", "am", "--algo", "eemd", "--seed", "-1"],
@@ -688,6 +689,30 @@ class TestErrors:
             assert lines and all(line.startswith("PASS") for line in lines)
         for artifact in ("spectrum.csv", "marginal.csv"):
             assert "nan" not in (tmp_path / "emd" / artifact).read_text()
+
+    def test_significance_decisions_at_any_amplitude(self, tmp_path, capsys):
+        # Every energy is compared on one exactly rescaled stack, so no
+        # density overflows or underflows on the way to a decision; the
+        # reported density is inf or 0 only where float64 cannot hold it.
+        v = np.random.default_rng(4).standard_normal(512)
+        tables = []
+        for scale in (1.0, 2.0 ** 600, 2.0 ** -600):
+            p = tmp_path / "in.csv"
+            write_csv(p, [SampledSignal(v * scale, 100.0)])
+            out = tmp_path / repr(scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["decompose", "--input", str(p), "--out", "significance",
+                             "--output-dir", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            tables.append([line.split(",") for line
+                           in (out / "significance.csv").read_text().splitlines()[1:]])
+        decisions = [[(c, period, inside) for c, period, _, inside in t] for t in tables]
+        assert decisions[1] == decisions[0] and decisions[2] == decisions[0]
+        assert {inside for *_, inside in decisions[0]} == {"true", "false"}
+        densities = [[float(d) for _, _, d, _ in t] for t in tables]
+        assert 0 < min(densities[0]) and max(densities[0]) < np.inf
+        assert densities[1] == [np.inf] * len(tables[0]) and densities[2] == [0.0] * len(tables[0])
 
     def test_two_rows_give_zero_imfs(self, tmp_path, capsys):
         p = tmp_path / "two.csv"

@@ -2,7 +2,11 @@
 
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -111,3 +115,30 @@ def test_failed_fork_leaks_no_descriptor(monkeypatch):
     assert len(calls) == 2
     assert len(os.listdir("/proc/self/fd")) == before
     no_child_left()
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="no helper forks on one CPU")
+def test_helpers_close_their_pipes(tmp_path):
+    # A helper that left its pipe files open made the interpreter warn as
+    # it dropped them, once per noise-band and CSV-writing helper.
+    code = textwrap.dedent(f"""
+        import os
+        import numpy as np
+        from pathlib import Path
+        from emdkit import cli, white_noise_band
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(fork())
+            return forks[-1]
+
+        os.fork = counted
+        white_noise_band(1024, trials=50)
+        v = np.arange(cli._FORK_SHARE_VALUES, dtype=float)
+        cli._write(Path({str(tmp_path)!r}), {{"t.csv": cli._Table("a,b", [v, v])}})
+        assert len(forks) == 2, forks
+    """)
+    src = str(Path(_fork.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")

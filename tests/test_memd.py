@@ -466,12 +466,13 @@ class TestForkedDirections:
         assert not thread.is_alive() and forks == []
 
 
-def _old_sift(x, dirs, cfg, subtractions):
+def _old_sift(x, data, dirs, cfg, subtractions):
     """The MEMD sift as it was written before it ran ``emd._sift``, kept as
-    the reference; appends its subtraction count to ``subtractions`` once
-    it gets past the first build, where ``_sift`` logs it."""
-    data = mode = x.as_array()
-    work = x
+    the reference, on the (n, channels) matrix ``data`` of signals sampled
+    as ``x``; appends its subtraction count to ``subtractions`` once it gets
+    past the first build, where ``_sift`` logs it."""
+    mode = data
+    work = x.from_array(data)
     for it in range(cfg.max_sift_iterations):
         try:
             env = memd_module.multivariate_mean_envelope(work, dirs, ())
@@ -489,15 +490,16 @@ def _old_sift(x, dirs, cfg, subtractions):
     subtractions.append(it)
     if float(np.abs(mode).max()) <= _ROUNDING_NOISE * float(np.abs(data).max()):
         raise NoEnvelopeError("the mode is rounding noise")
-    return x.from_array(mode), x.from_array(data - mode)
+    return mode, data - mode
 
 
 def _sifted(monkeypatch, decompose, x, K, cfg, reference):
     """``decompose(x, K, cfg)``, serial, by its own sift or, with
-    ``reference``, by ``_old_sift`` under the same mode loop, residue floor
-    and EPMEMD stage. Returns the decomposition, the mean envelopes built
-    for each mode extraction (the last, which ends the loop, included) and
-    the reference's subtraction count per sift."""
+    ``reference``, by ``_old_sift`` under the same mode loop over the scaled
+    (n, channels) matrix, residue floor and EPMEMD stage. Returns the
+    decomposition, the mean envelopes built for each mode extraction (the
+    last, which ends the loop, included) and the reference's subtraction
+    count per sift."""
     builds, subtractions = [], []
     envelope, modes_loop = memd_module.multivariate_mean_envelope, memd_module._extract_modes
 
@@ -509,12 +511,12 @@ def _sifted(monkeypatch, decompose, x, K, cfg, reference):
         if reference:
             dirs = hammersley_directions(x.n_channels, K)
             floor = max(memd_module.NEGLIGIBLE_RESIDUE_THRESHOLD * float(
-                np.abs(start.as_array()).max()), np.finfo(float).tiny)
+                np.abs(start).max()), np.finfo(float).tiny)
 
             def extract(work):
-                if float(np.abs(work.as_array()).max()) <= floor:
+                if float(np.abs(work).max()) <= floor:
                     raise NoEnvelopeError("the residue is negligible")
-                return _old_sift(work, dirs, cfg, subtractions)
+                return _old_sift(x, work, dirs, cfg, subtractions)
 
         def counted_extract(work):
             builds.append(0)
@@ -574,6 +576,36 @@ class TestSharedSift:
         *_, subtractions = _sifted(monkeypatch, decompose, make(), K, cfg, reference=True)
         assert len(logged) == len(d.imfs) > 0
         assert logged == subtractions
+
+    @pytest.mark.parametrize("decompose, most", [(memd, 64), (epmemd, 112)])
+    def test_mode_loop_runs_on_one_matrix(self, monkeypatch, cpus, decompose, most):
+        # Signals are built for each mean envelope's argument, EPMEMD's
+        # per-channel stage and the result alone (92 and 116 when the loop
+        # rewrapped its matrices in signals).
+        cpus(1)
+        x = _multitone()
+
+        def counting(cls):
+            post_init, built = cls.__post_init__, []
+
+            def counted(obj):
+                built.append(obj)
+                post_init(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+            return built
+
+        signals, multivariate = counting(SampledSignal), counting(MultivariateSignal)
+        envelope, arguments = memd_module.multivariate_mean_envelope, []
+
+        def recorded(signal, *args):
+            arguments.append(signal)
+            return envelope(signal, *args)
+
+        monkeypatch.setattr(memd_module, "multivariate_mean_envelope", recorded)
+        decompose(x, 64, CAPPED)
+        assert len(signals) <= most
+        assert list(map(id, multivariate)) == list(map(id, arguments))
 
     @pytest.mark.parametrize("decompose", [memd, epmemd])
     def test_sd_threshold_has_no_effect(self, decompose):
