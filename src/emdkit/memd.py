@@ -306,10 +306,10 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
                           np.asarray)  # the pair stays a pair of matrices
 
         modes, residue = _extract_modes(data, extract, stage, cfg.max_imfs)
-    out = np.ldexp((*modes, residue), -k)
     return MultivariateDecomposition(tuple(
-        Decomposition(tuple(map(ch.with_samples, out[:-1, :, j])), ch.with_samples(out[-1, :, j]),
-                      variant) for j, ch in enumerate(x.channels)))
+        Decomposition(tuple(ch.with_samples(np.ldexp(m[:, j], -k)) for m in modes),
+                      ch.with_samples(np.ldexp(residue[:, j], -k)), variant)
+        for j, ch in enumerate(x.channels)))
 
 
 def memd(x: MultivariateSignal, K: int = 64,

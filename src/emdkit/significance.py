@@ -46,20 +46,15 @@ class ConfidenceBand:
 
 
 def imf_statistics(imf: SampledSignal) -> SignificancePoint:
-    """Mean period and mean energy density (inf only past the float64 range) of one component."""
+    """Mean period and mean energy density of one component."""
     if imf.n < MIN_LENGTH:
         raise ValueError("component too short for period statistics")
     zc = zero_crossing_count(imf.samples)
     if zc == 0:
         raise PeriodUndefinedError("no zero crossings: component is a trend")
-    (u,), k = _unit_stack(imf.samples)
-    return SignificancePoint(2.0 * imf.duration / zc, _scaled_back(float(np.mean(u**2)), k), None)
-
-
-def _scaled_back(density: float, k: int) -> float:
-    """A mean square taken on samples scaled by 2**k, scaled back: inf past the float64 range."""
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(density, -2 * k))
+    mean_period = 2.0 * imf.duration / zc
+    energy_density = float(np.mean(imf.samples**2))
+    return SignificancePoint(mean_period, energy_density, None)
 
 
 def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
@@ -159,15 +154,17 @@ def significance_test(d: Decomposition, band: ConfidenceBand) -> list[Significan
     log_hi = np.log2(np.maximum(band.upper_95th, 1e-300))
 
     points: list[SignificancePoint] = []
-    for imf, u in zip(d.imfs, rows[1:]):
-        e = float(np.mean(u**2))
-        try:
-            pt = imf_statistics(imf)
-        except PeriodUndefinedError:
-            points.append(SignificancePoint(float("nan"), _scaled_back(e, k), None))
-            continue
-        lp = np.log2(pt.mean_period)
-        lo = 2.0 ** float(np.interp(lp, log_grid, log_lo))
-        hi = 2.0 ** float(np.interp(lp, log_grid, log_hi))
-        points.append(SignificancePoint(pt.mean_period, pt.energy_density, lo <= e / scale <= hi))
+    with np.errstate(over="ignore"):  # a density past the float64 range reads inf
+        for imf, u in zip(d.imfs, rows[1:]):
+            e = float(np.mean(u**2))
+            density = float(np.ldexp(e, -2 * k))
+            try:
+                period = imf_statistics(imf).mean_period
+            except PeriodUndefinedError:
+                points.append(SignificancePoint(float("nan"), density, None))
+                continue
+            lp = np.log2(period)
+            lo = 2.0 ** float(np.interp(lp, log_grid, log_lo))
+            hi = 2.0 ** float(np.interp(lp, log_grid, log_hi))
+            points.append(SignificancePoint(period, density, lo <= e / scale <= hi))
     return points

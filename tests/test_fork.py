@@ -133,6 +133,7 @@ def test_helpers_close_their_pipes(tmp_path):
             return forks[-1]
 
         os.fork = counted
+        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])  # one helper each
         white_noise_band(1024, trials=50)
         v = np.arange(cli._FORK_SHARE_VALUES, dtype=float)
         cli._write(Path({str(tmp_path)!r}), {{"t.csv": cli._Table("a,b", [v, v])}})
