@@ -14,7 +14,6 @@ from .core import (
     Variant,
     energy,
     inner_product,
-    remove_mean,
 )
 from .envelope import EnvelopePair, ExtremaSet, build_envelopes, cubic_spline, detect_extrema
 from .emd import EemdConfig, SiftConfig, eemd, emd, is_imf, sift_one_imf
@@ -43,7 +42,6 @@ from .siggen import (
     SignalSpec,
     generate,
     generate_multitone4,
-    harmonic_comb,
     sweep_io_t,
 )
 

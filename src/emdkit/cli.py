@@ -23,7 +23,7 @@ import sys
 import warnings
 from array import array
 from functools import partial
-from itertools import chain, islice, takewhile
+from itertools import islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -125,10 +125,10 @@ def _read_lines(path: Path) -> np.ndarray:
 
 
 def _head(lines):
-    """Skip a plain CSV's leading blank and ``#`` lines and its optional
-    header: (the data rows as lines, their width, the first one's length),
-    or None where the first non-blank line is not at least two fields."""
-    for raw in lines:
+    """Count a plain CSV's leading blank and ``#`` lines and its optional
+    header: (the lines before the data rows, the first other line's field
+    count and length), or None where that line is not at least two fields."""
+    for skip, raw in enumerate(lines):
         line = raw.strip()
         if line and not line.startswith("#"):
             break
@@ -140,28 +140,24 @@ def _head(lines):
     try:
         list(map(float, fields))
     except ValueError:  # a header, classified as the line reader does
-        return lines, len(fields), len(raw)
-    return chain([raw], lines), len(fields), len(raw)
+        skip += 1
+    return skip, len(fields), len(raw)
 
 
-def _read_span(path: Path, width: int, span: tuple[int, int | None]) -> np.ndarray:
+def _read_span(path: Path, width: int, skip: int, span: tuple[int, int | None]) -> np.ndarray:
     """The data rows of bytes ``start`` to ``end`` of a CSV (None: the end
     of the file), which start at a line, parsed by numpy's C reader; the
-    first span's leading lines are skipped as ``_load_plain`` skips them.
+    first span's ``skip`` leading lines are the ones ``_head`` counted.
     ``ValueError`` for any line it rejects and for rows of another width."""
     start, end = span
     with path.open("rb") as file:
         file.seek(start)
-        lines = io.TextIOWrapper(file if end is None else io.BytesIO(file.read(end - start)),
-                                 encoding="utf-8-sig" if start == 0 else "utf-8")
-        if start == 0:
-            head = _head(lines)
-            if head is None:
-                raise ValueError("no data row in the first span")
-            lines = head[0]
-        with warnings.catch_warnings():  # a header-only file holds no data
+        with (io.TextIOWrapper(file if end is None else io.BytesIO(file.read(end - start)),
+                               encoding="utf-8-sig" if start == 0 else "utf-8") as lines,
+              warnings.catch_warnings()):  # a header-only file holds no data
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               skiprows=0 if start else skip)
     if table.shape[1] != width:
         raise ValueError(f"rows of {table.shape[1]} values, not {width}")
     return table
@@ -196,11 +192,11 @@ def _load_plain(path: Path) -> np.ndarray | None:
             head = _head(lines)
         if head is None:
             return None
-        _, width, length = head
+        skip, width, length = head
         size = path.stat().st_size
         workers = _fork.worker_count(0, size * width // (length * _FORK_SHARE_VALUES))
         spans = _spans(path, size, workers) or [(0, None)]
-        with _fork.ordered(partial(_read_span, path, width), spans, len(spans)) as tables:
+        with _fork.ordered(partial(_read_span, path, width, skip), spans, len(spans)) as tables:
             table, *rest = tables
             if rest:
                 table = np.concatenate([table, *rest])

@@ -192,9 +192,3 @@ def inner_product(a: SampledSignal, b: SampledSignal) -> float:
 def energy(x: SampledSignal) -> float:
     """Signal energy over the record, always >= 0."""
     return inner_product(x, x)
-
-
-def remove_mean(x: SampledSignal) -> tuple[SampledSignal, float]:
-    """Subtract the arithmetic sample mean; returns (zero-mean signal, mean)."""
-    m = float(np.mean(x.samples))
-    return x.with_samples(x.samples - m), m

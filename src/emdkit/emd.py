@@ -175,10 +175,15 @@ def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
     return tuple(modes), work
 
 
-def _row_batches(count: int, n: int) -> list[range]:
-    """``range(count)`` cut into lockstep batches of rows of ``n`` samples."""
-    step = max(1, _BATCH_SAMPLES // n)
-    return [range(i, min(i + step, count)) for i in range(0, count, step)]
+def _row_batches(count: int, n: int) -> range:
+    """The first row of each lockstep batch of ``n``-sample rows that
+    ``range(count)`` is cut into, as a range: no plan is held in memory."""
+    return range(0, count, max(1, _BATCH_SAMPLES // n))
+
+
+def _batch(starts: range, start: int) -> range:
+    """The rows of the batch that begins at ``start`` in the plan ``starts``."""
+    return range(start, min(start + starts.step, starts.stop))
 
 
 def _row_modes(x: SampledSignal, cfg: SiftConfig, stage):
@@ -266,9 +271,10 @@ def eemd(
     # reached starts at 0.
     imf_acc = np.zeros((0, x.n))
     res_acc = np.zeros(x.n)
-    for batch in _row_batches(ecfg.ensemble_size, x.n):
+    starts = _row_batches(ecfg.ensemble_size, x.n)
+    for start in starts:
         rows = np.array([xs + _trial_rng(ecfg.rng_seed, i).standard_normal(x.n) * sigma
-                         for i in batch])
+                         for i in _batch(starts, start)])
         for modes, residue in zip(*_extract_rows(rows, scfg, x.sample_rate)):
             if len(modes) > len(imf_acc):
                 imf_acc = np.vstack((imf_acc, np.zeros((len(modes) - len(imf_acc), x.n))))

@@ -31,22 +31,25 @@ class LinoepStage:
     residue_out: SampledSignal
 
 
+def _split(imf: np.ndarray, residue: np.ndarray, dt: float):
+    """``orthogonalize_stage`` on arrays of period ``dt``: (alpha, epimf, residue_out)."""
+    (u, r), _ = _unit_stack(imf, residue)
+    e_res = float(np.dot(r, r)) * dt
+    if e_res <= ZERO_RESIDUE_THRESHOLD * (float(np.dot(u, u)) * dt + e_res):
+        return 0.0, imf, residue
+    alpha = float(np.dot(u, r)) * dt / e_res
+    shift = alpha * residue
+    # Adding/subtracting the same float array keeps the sum exact.
+    return alpha, imf - shift, residue + shift
+
+
 def orthogonalize_stage(imf: SampledSignal, residue: SampledSignal) -> LinoepStage:
     """Project ``imf`` onto ``residue`` and split their sum into an
     orthogonal pair; epimf + residue_out equals imf + residue exactly.
     The energies behind alpha are taken on exactly rescaled samples."""
     imf._check_compatible(residue)
-    (u, r), _ = _unit_stack(imf.samples, residue.samples)
-    e_res = float(np.dot(r, r)) * imf.dt
-    e_in = float(np.dot(u, u)) * imf.dt + e_res
-    if e_res <= ZERO_RESIDUE_THRESHOLD * e_in:
-        return LinoepStage(0.0, imf, residue)
-    alpha = float(np.dot(u, r)) * imf.dt / e_res
-    shift = alpha * residue.samples
-    # Adding/subtracting the same float array keeps the sum exact.
-    epimf = imf.with_samples(imf.samples - shift)
-    residue_out = residue.with_samples(residue.samples + shift)
-    return LinoepStage(alpha, epimf, residue_out)
+    alpha, m, r = _split(imf.samples, residue.samples, imf.dt)
+    return LinoepStage(alpha, imf.with_samples(m), residue.with_samples(r))
 
 
 def _linoep_stage(alphas: list, imf: SampledSignal, residue: SampledSignal):
@@ -72,11 +75,9 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
 
 
 def _orthogonalize_channels(x: MultivariateSignal, mode: np.ndarray, residue: np.ndarray):
-    """``orthogonalize_stage`` on each channel of a pair of (n, channels) matrices of ``x``."""
-    stages = [orthogonalize_stage(ch.with_samples(m), ch.with_samples(r))
-              for ch, m, r in zip(x.channels, mode.T, residue.T)]
-    return (np.column_stack([st.epimf.samples for st in stages]),
-            np.column_stack([st.residue_out.samples for st in stages]))
+    """``_split`` of each channel's columns of a pair of (n, channels) matrices of ``x``."""
+    pairs = [_split(m, r, ch.dt)[1:] for ch, m, r in zip(x.channels, mode.T, residue.T)]
+    return tuple(map(np.column_stack, zip(*pairs)))
 
 
 def epmemd(x: MultivariateSignal, K: int = 64,

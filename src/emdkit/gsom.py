@@ -24,7 +24,6 @@ from .core import (
     RankDeficiencyError,
     SampledSignal,
     Variant,
-    remove_mean,
     _unit_exponent,
     _unit_stack,
 )
@@ -105,9 +104,9 @@ def orthogonal_variants(d: Decomposition, variant: Variant) -> Decomposition:
     out = list(d.components)
     dc = d.dc_constant
     if variant in (Variant.FOUIMF, Variant.ROUIMF):
-        centred = [remove_mean(c) for c in out]
-        out = [zm for zm, _ in centred]
-        dc += float(sum(mean for _, mean in centred))
+        means = [float(np.mean(c.samples)) for c in out]
+        out = [c.with_samples(c.samples - m) for c, m in zip(out, means)]
+        dc += float(sum(means))
 
     # A (near-)zero component carries no direction to orthogonalize
     # against -- a constant residue centered by the uncorrelated variants

@@ -136,23 +136,14 @@ def generate_multitone4(spec: SignalSpec):
     return MultivariateSignal(tuple(channels))
 
 
-def harmonic_comb(sample_rate: float, duration: float = 10.0, amplitude: float = 100.0,
-                  n_tones: int = 50) -> SampledSignal:
-    """s(t) = sum of ``n_tones`` harmonics at 1..n_tones Hz, each of the
-    given amplitude; the sweep signal of the sampling-rate experiment."""
-    t = _time_grid(SignalSpec(SignalKind.AP, sample_rate=sample_rate, duration=duration))
-    v = _tone_sum(t, n_tones, [(amplitude, 0, 1)])
-    return SampledSignal(v, sample_rate)
-
-
 def sweep_io_t(fs_list, cfg: SiftConfig = SiftConfig()):
-    """Decompose the 50-tone comb at each sampling rate with EMD and
-    EPEMD and record both overall orthogonality indices."""
+    """Decompose the 50-tone comb (the AP band signal) at each sampling
+    rate with EMD and EPEMD and record both overall orthogonality indices."""
     rows = []
     for fs in fs_list:
         if fs <= 100:
             raise ValueError(f"fs={fs} aliases the 50 Hz content (need > 100)")
-        x = harmonic_comb(fs)
+        x = generate(SignalSpec(SignalKind.AP, sample_rate=fs))
         io_emd = ortho_report(x, emd(x, cfg)).io_total
         io_ep = ortho_report(x, epemd(x, cfg)).io_total
         rows.append((float(fs), io_emd, io_ep))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _fork
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant, _unit_stack
-from .emd import SiftConfig, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
+from .emd import SiftConfig, _batch, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
 from .epemd import _linoep_stage
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
@@ -73,10 +73,10 @@ def _decompose_variant(rows: np.ndarray, decomposer: Variant, cfg: SiftConfig,
 
 
 def _batch_points(length: int, decomposer: Variant, seed: int, sample_rate: float,
-                  cfg: SiftConfig, batch: range) -> list[tuple[float, float]]:
+                  cfg: SiftConfig, starts: range, start: int) -> list[tuple[float, float]]:
     """(mean period, energy density) of each periodic component of the trials
-    of one lockstep ``batch``."""
-    rows = np.array([_trial_rng(seed, i).standard_normal(length) for i in batch])
+    of the lockstep batch of ``starts`` at ``start``."""
+    rows = np.array([_trial_rng(seed, i).standard_normal(length) for i in _batch(starts, start)])
     points = []
     for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
         for imf in d.imfs:
@@ -110,9 +110,9 @@ def white_noise_band(
                          f"got {length}")
     if decomposer not in (Variant.EMD, Variant.EPEMD, *GRAM_SCHMIDT_VARIANTS):
         raise ValueError(f"unsupported decomposer {decomposer}")
-    batches = _row_batches(trials, length)
-    with _fork.ordered(partial(_batch_points, length, decomposer, seed, sample_rate, cfg),
-                       batches, _fork.worker_count(length, len(batches))) as points:
+    starts = _row_batches(trials, length)
+    with _fork.ordered(partial(_batch_points, length, decomposer, seed, sample_rate, cfg, starts),
+                       starts, _fork.worker_count(length, len(starts))) as points:
         periods, energies = np.array([p for ps in points for p in ps]).reshape(-1, 2).T
     log_p = np.log2(periods)
     e = energies

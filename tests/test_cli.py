@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import warnings
 from pathlib import Path
@@ -188,6 +191,39 @@ class TestReadSignalCsv:
         assert (cli._load_plain(p) is not None) == plain
         x, = read_signal_csv(p).channels
         assert x.samples.tolist() == [1.0, 2.0, 3.0, 4.0] and x.t0 == 0.0
+
+    @pytest.mark.parametrize("rows", [4, 16384])
+    def test_headerless_file_is_closed_as_it_is_read(self, tmp_path, rows):
+        # The first span's text wrapper of a file with no header was left to
+        # the garbage collector, and -X dev printed "Exception ignored in:
+        # <_io.FileIO ...>" as it went. 16,384 rows of 15 columns are also
+        # parsed by a forked helper on two CPUs.
+        if rows > 4 and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("no helper forks on one CPU")
+        p = tmp_path / "bare.csv"
+        np.savetxt(p, np.column_stack((np.arange(rows) / 1000.0,
+                                       np.random.default_rng(rows).standard_normal((rows, 14)))),
+                   fmt="%.17g", delimiter=",")
+        code = textwrap.dedent(f"""
+            import os
+            from pathlib import Path
+            from emdkit import cli
+            forks, fork = [], os.fork
+
+            def counted():
+                forks.append(fork())
+                return forks[-1]
+
+            os.fork = counted
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+            assert cli._read_table(Path({str(p)!r})).shape == ({rows}, 15)
+            assert len(forks) == {int(rows > 4)}, forks
+        """)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+                              code], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
 
     def test_wide_file_is_read_without_per_value_objects(self, tmp_path):
         # 16,384 rows x 15 columns; the whole-text read peaked at 18.8 MiB.

@@ -11,7 +11,6 @@ from emdkit import (
     SampledSignal,
     energy,
     inner_product,
-    remove_mean,
 )
 from conftest import sine
 
@@ -97,29 +96,6 @@ class TestEnergy:
     def test_sine_energy_matches_analytic(self):
         x = sine(1.0, 100.0, 10.0)  # 10 full periods, 1000 samples
         assert energy(x) == pytest.approx(5.0, rel=1e-6)
-
-
-class TestRemoveMean:
-    def test_constant(self):
-        zm, m = remove_mean(sig([5, 5, 5]))
-        np.testing.assert_allclose(zm.samples, [0, 0, 0])
-        assert m == 5.0
-
-    def test_already_zero_mean(self):
-        zm, m = remove_mean(sig([1, -1]))
-        np.testing.assert_allclose(zm.samples, [1, -1])
-        assert m == 0.0
-
-    def test_offset_sine(self):
-        x = sine(3.0, 100.0, 2.0)
-        shifted = x.with_samples(x.samples + 2.5)
-        _, m = remove_mean(shifted)
-        assert m == pytest.approx(2.5, abs=1.0 / x.n)
-
-    def test_output_mean_is_tiny(self, rng):
-        x = SampledSignal(rng.standard_normal(500) + 17.0, 10.0)
-        zm, _ = remove_mean(x)
-        assert abs(float(np.mean(zm.samples))) < 1e-12 * float(np.max(np.abs(x.samples)))
 
 
 finite_arrays = st.lists(

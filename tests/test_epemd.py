@@ -15,6 +15,7 @@ from emdkit import (
     orthogonalize_stage,
     verify_linoep,
 )
+from emdkit.epemd import _orthogonalize_channels, _split
 from conftest import sine
 
 
@@ -63,6 +64,26 @@ class TestOrthogonalizeStage:
         st = orthogonalize_stage(imf, residue)
         assert st.alpha == 0.0
         np.testing.assert_array_equal(st.epimf.samples, imf.samples)
+
+
+    def test_matrix_columns_split_as_each_channel_alone(self, rng):
+        # EPMEMD's stage splits the strided columns of its (n, channels)
+        # pair with this arithmetic. The last residue column is zero, so
+        # that channel passes through.
+        mode, residue = rng.standard_normal((2, 200, 3))
+        residue[:, 2] = 0.0
+        x = MultivariateSignal(tuple(sig(c, 3.0) for c in mode.T))
+        epimfs, residues_out = _orthogonalize_channels(x, mode, residue)
+        alphas = []
+        for j, ch in enumerate(x.channels):
+            m, r = mode[:, j], residue[:, j]
+            assert not m.flags.contiguous
+            st = orthogonalize_stage(ch.with_samples(m), ch.with_samples(r))
+            alphas.append(_split(m, r, ch.dt)[0])
+            assert alphas[-1] == st.alpha
+            assert epimfs[:, j].tobytes() == st.epimf.samples.tobytes()
+            assert residues_out[:, j].tobytes() == st.residue_out.samples.tobytes()
+        assert alphas[0] != 0.0 and alphas[2] == 0.0
 
 
 class TestVerifyLinoep:

@@ -577,11 +577,12 @@ class TestSharedSift:
         assert len(logged) == len(d.imfs) > 0
         assert logged == subtractions
 
-    @pytest.mark.parametrize("decompose, most", [(memd, 64), (epmemd, 112)])
+    @pytest.mark.parametrize("decompose, most", [(memd, 64), (epmemd, 64)])
     def test_mode_loop_runs_on_one_matrix(self, monkeypatch, cpus, decompose, most):
-        # Signals are built for each mean envelope's argument, EPMEMD's
-        # per-channel stage and the result alone (92 and 116 when the loop
-        # rewrapped its matrices in signals).
+        # Signals are built for each mean envelope's argument and the result
+        # alone; EPMEMD's stage splits the matrix columns themselves (92 and
+        # 116 when the loop rewrapped its matrices in signals, then 64 and
+        # 112 while the stage wrapped each channel's columns).
         cpus(1)
         x = _multitone()
 

@@ -8,7 +8,6 @@ from emdkit import (
     SignalSpec,
     generate,
     generate_multitone4,
-    harmonic_comb,
     sweep_io_t,
 )
 from emdkit.siggen import MULTITONE4_FREQS
@@ -126,14 +125,6 @@ class TestBandFormulas:
         want = today_band(kind, spec.a1, spec.a2, t)
         assert generate(spec).samples.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("args", [(150.0,), (333.0, 1.7, -3.0, 5), (256.0, 2.0, -0.0, 5)])
-    def test_harmonic_comb_matches_the_written_formula(self, args):
-        rate, duration, amplitude, n_tones = args + (10.0, 100.0, 50)[len(args) - 1:]
-        t = np.arange(int(round(rate * duration))) / rate
-        want = sum(amplitude * np.sin(2 * np.pi * f * t) for f in range(1, n_tones + 1))
-        got = harmonic_comb(*args)
-        assert got.samples.tobytes() == want.tobytes() and got.sample_rate == rate
-
 
 class TestMultitone4:
     def test_four_channels_with_expected_variance(self):
@@ -165,14 +156,6 @@ class TestSweep:
     def test_rejects_aliasing_rate(self):
         with pytest.raises(ValueError):
             sweep_io_t([100.0])
-
-    def test_comb_content(self):
-        x = harmonic_comb(256.0, duration=2.0, n_tones=5, amplitude=2.0)
-        mag = np.abs(np.fft.rfft(x.samples))
-        freqs = np.fft.rfftfreq(x.n, x.dt)
-        for f in range(1, 6):
-            idx = int(np.argmin(np.abs(freqs - f)))
-            assert mag[idx] > 50 * np.median(mag)
 
     def test_sweep_rows(self):
         rows = sweep_io_t([150.0, 200.0])
