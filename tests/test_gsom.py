@@ -171,6 +171,19 @@ class TestOrthogonalVariants:
         for c in out.components:
             assert abs(float(np.mean(c.samples))) <= 1e-10 * np.max(np.abs(c.samples))
 
+    @pytest.mark.parametrize("variant", [Variant.FOUIMF, Variant.ROUIMF])
+    def test_centring_moves_the_component_means_into_dc(self, rng, variant):
+        # Each component's sample mean is taken out before the sweep and
+        # added to the DC constant; an offset of 17 is the mean of the input.
+        x = SampledSignal(rng.standard_normal(500) + 17.0, 10.0)
+        d = emd(x)
+        means = [float(np.mean(c.samples)) for c in d.components]
+        out = orthogonal_variants(d, variant)
+        assert out.dc_constant == d.dc_constant + float(sum(means))
+        assert out.dc_constant == pytest.approx(float(np.mean(x.samples)), rel=1e-12)
+        for c in out.components:
+            assert abs(float(np.mean(c.samples))) < 1e-12 * float(np.max(np.abs(x.samples)))
+
     def test_rouimf_energy_split_with_dc(self, decomp):
         x, d = decomp
         out = orthogonal_variants(d, Variant.ROUIMF)

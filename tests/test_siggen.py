@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,30 @@ class TestSweep:
     def test_rejects_aliasing_rate(self):
         with pytest.raises(ValueError):
             sweep_io_t([100.0])
+
+    def test_comb_content(self):
+        # The sweep's comb is the AP band signal: 50 tones at 1..50 Hz.
+        x = generate(SignalSpec(SignalKind.AP, a1=2.0, sample_rate=256.0, duration=2.0))
+        mag = np.abs(np.fft.rfft(x.samples))
+        freqs = np.fft.rfftfreq(x.n, x.dt)
+        for f in range(1, 51):
+            idx = int(np.argmin(np.abs(freqs - f)))
+            assert mag[idx] > 50 * np.median(mag)
+
+    @pytest.mark.parametrize("fs", [150.0, 333.0])
+    def test_sweep_decomposes_the_written_comb(self, monkeypatch, fs):
+        # Each rate's signal is the 50-tone comb of amplitude 100 over 10 s,
+        # byte for byte; the decompositions themselves are stubbed out.
+        import emdkit.siggen as siggen
+        seen = []
+        monkeypatch.setattr(siggen, "emd", lambda x, cfg: seen.append(x) or "emd")
+        monkeypatch.setattr(siggen, "epemd", lambda x, cfg: seen.append(x) or "epemd")
+        monkeypatch.setattr(siggen, "ortho_report", lambda x, d: SimpleNamespace(io_total=d))
+        assert sweep_io_t([fs]) == [(fs, "emd", "epemd")]
+        t = np.arange(int(round(fs * 10.0))) / fs
+        want = today_band(SignalKind.AP, 100.0, 1.0, t)
+        assert [x.samples.tobytes() for x in seen] == [want.tobytes()] * 2
+        assert all(x.sample_rate == fs for x in seen)
 
     def test_sweep_rows(self):
         rows = sweep_io_t([150.0, 200.0])
