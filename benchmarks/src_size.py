@@ -1,8 +1,9 @@
 """Size of the emdkit sources: the ``wc -l`` total of ``src/emdkit/*.py``,
 and the same lines classed by ``tokenize`` as code, docstring, comment or
 blank, so that a deletion of code can be told apart from a thinned
-docstring. A line holding any code token is code; a string statement
-(a docstring, or a string standing alone) makes its lines docstring.
+docstring; then the same for each module. A line holding any code token
+is code; a string statement (a docstring, or a string standing alone)
+makes its lines docstring.
 
     python benchmarks/src_size.py
 """
@@ -46,11 +47,17 @@ def line_kinds(path: Path) -> list[str]:
             for kinds in found[1:]]
 
 
+def _summary(name: str, kinds: Counter) -> str:
+    return (f"{name}: {sum(kinds.values())} lines = {kinds['code']} code"
+            f" + {kinds['docstring']} docstring + {kinds['comment']} comment"
+            f" + {kinds['blank']} blank")
+
+
 def main() -> int:
-    kinds = Counter(k for path in sorted(SRC.glob("*.py")) for k in line_kinds(path))
-    total = sum(kinds.values())
-    print(f"{SRC}: {total} lines = {kinds['code']} code + {kinds['docstring']} docstring"
-          f" + {kinds['comment']} comment + {kinds['blank']} blank")
+    modules = {path.name: Counter(line_kinds(path)) for path in sorted(SRC.glob("*.py"))}
+    print(_summary(str(SRC), sum(modules.values(), Counter())))
+    for name, kinds in modules.items():
+        print("  " + _summary(name, kinds))
     return 0
 
 

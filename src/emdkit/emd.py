@@ -130,9 +130,9 @@ def _sift(x: np.ndarray, cfg: SiftConfig, stop=None):
     return h, x - h
 
 
-def _drive(sift, build, wrap):
-    """Run the ``_sift`` generator ``sift``, sending it ``build(h)`` per candidate h,
-    or None where that raises NoEnvelopeError; returns wrap(imf), wrap(residue)."""
+def _drive(sift, build):
+    """Run the generator ``sift``, sending it ``build(h)`` per candidate h it yields,
+    or None where that raises NoEnvelopeError; returns the generator's value."""
     env = None
     try:
         while True:
@@ -142,7 +142,13 @@ def _drive(sift, build, wrap):
             except NoEnvelopeError:
                 env = None
     except StopIteration as done:
-        return tuple(map(wrap, done.value))
+        return done.value
+
+
+def _signal_sift(cfg: SiftConfig, x: SampledSignal):
+    """``_sift`` of the signal ``x``; returns (imf, residue) as signals."""
+    imf, residue = yield from _sift(x.samples, cfg)
+    return x.with_samples(imf), x.with_samples(residue)
 
 
 def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
@@ -150,29 +156,37 @@ def sift_one_imf(x: SampledSignal, cfg: SiftConfig = SiftConfig()):
     per candidate; returns (imf, residue), imf + residue == x to within
     one rounding per sample. Raises NoEnvelopeError where ``_sift`` does.
     """
-    return _drive(_sift(x.samples, cfg),
-                  lambda h: ((e := build_envelopes(h)).extrema.n_extrema, e.mean), x.with_samples)
+    return _drive(_signal_sift(cfg, x),
+                  lambda h: ((e := build_envelopes(h)).extrema.n_extrema, e.mean))
 
 
-def _extract_modes(x, extract, stage=None, max_imfs: int = 0):
-    """The mode-extraction loop behind emd, epemd, memd and epmemd.
-
-    ``extract(work)`` splits the working signal into ``(mode, residue)``
-    with mode + residue == work; its NoEnvelopeError ends extraction.
-    ``stage(mode, residue)``, if given, returns the pair that replaces it
-    (EPEMD's per-stage orthogonalization). Extraction continues on the
-    residue; returns (modes, final residue).
+def _modes(x, sift, stage=None, max_imfs: int = 0):
+    """The mode loop of every algorithm, as a generator: yields what each
+    ``sift(work)`` yields, is sent what it is sent, and gets from it
+    ``(mode, residue)`` with mode + residue == work; its NoEnvelopeError
+    ends extraction. ``stage(mode, residue)``, if given, returns the pair
+    that replaces it (EPEMD's per-stage orthogonalization). Extraction
+    continues on the residue; returns (modes, final residue).
     """
-    modes = []
-    work = x
+    modes, work = [], x
     while not (max_imfs and len(modes) >= max_imfs):
         try:
-            pair = extract(work)
+            pair = yield from sift(work)
         except NoEnvelopeError:
             break
         mode, work = pair if stage is None else stage(*pair)
         modes.append(mode)
-    return tuple(modes), work
+    return modes, work
+
+
+def _modes_by_call(x: SampledSignal, cfg: SiftConfig, stage=None):
+    """``_modes`` of ``x`` for emd and epemd, whose sift is one ``sift_one_imf``
+    call per mode and so yields nothing."""
+    def sift(work):
+        return sift_one_imf(work, cfg)
+        yield  # a generator
+
+    return _drive(_modes(x, sift, stage, cfg.max_imfs), None)
 
 
 def _row_batches(count: int, n: int) -> range:
@@ -181,34 +195,26 @@ def _row_batches(count: int, n: int) -> range:
     return range(0, count, max(1, _BATCH_SAMPLES // n))
 
 
-def _batch(starts: range, start: int) -> range:
-    """The rows of the batch that begins at ``start`` in the plan ``starts``."""
-    return range(start, min(start + starts.step, starts.stop))
+def _trial_rng(seed: int, trial: int) -> np.random.Generator:
+    # Per-trial stream derived from (seed, trial) so trial order is irrelevant.
+    return np.random.default_rng([seed, trial])
 
 
-def _row_modes(x: SampledSignal, cfg: SiftConfig, stage):
-    """``_extract_modes`` with ``sift_one_imf`` as a generator: yields
-    what each ``_sift`` yields; returns (modes, final residue)."""
-    modes, work = [], x
-    while not (cfg.max_imfs and len(modes) >= cfg.max_imfs):
-        try:
-            imf, residue = yield from _sift(work.samples, cfg)
-        except NoEnvelopeError:
-            break
-        pair = work.with_samples(imf), work.with_samples(residue)
-        mode, work = pair if stage is None else stage(*pair)
-        modes.append(mode)
-    return modes, work
+def _trial_noise(seed: int, n: int, starts: range, start: int) -> np.ndarray:
+    """Unit white noise of ``n`` samples for each trial of the lockstep batch
+    of the plan ``starts`` that begins at ``start``, one row per trial."""
+    return np.array([_trial_rng(seed, i).standard_normal(n)
+                     for i in range(start, min(start + starts.step, starts.stop))])
 
 
 def _extract_rows(rows: np.ndarray, cfg: SiftConfig, sample_rate: float, stages=None):
-    """``_row_modes`` for each row of the 2-D samples ``rows`` at ``sample_rate``,
+    """``_modes`` for each row of the 2-D samples ``rows`` at ``sample_rate``,
     in lockstep: each step builds the envelopes of every candidate the rows
     yield at once. ``stages[r]``, if given, is row r's ``stage``. Returns
     each row's modes and final residue, as signals."""
     out = [None] * len(rows)
-    sifts = [(r, _row_modes(SampledSignal(v, sample_rate), cfg,
-                            None if stages is None else stages[r]), None)
+    sifts = [(r, _modes(SampledSignal(v, sample_rate), partial(_signal_sift, cfg),
+                        None if stages is None else stages[r], cfg.max_imfs), None)
              for r, v in enumerate(rows)]
     while sifts:
         cands = []
@@ -240,13 +246,8 @@ def emd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     the normal floating-point range) yield zero IMFs with residue equal
     to the input.
     """
-    imfs, residue = _extract_modes(x, partial(sift_one_imf, cfg=cfg), max_imfs=cfg.max_imfs)
+    imfs, residue = _modes_by_call(x, cfg)
     return Decomposition(imfs, residue, Variant.EMD)
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    # Per-trial stream derived from (seed, trial) so trial order is irrelevant.
-    return np.random.default_rng([seed, trial])
 
 
 def eemd(
@@ -273,8 +274,7 @@ def eemd(
     res_acc = np.zeros(x.n)
     starts = _row_batches(ecfg.ensemble_size, x.n)
     for start in starts:
-        rows = np.array([xs + _trial_rng(ecfg.rng_seed, i).standard_normal(x.n) * sigma
-                         for i in _batch(starts, start)])
+        rows = xs + _trial_noise(ecfg.rng_seed, x.n, starts, start) * sigma
         for modes, residue in zip(*_extract_rows(rows, scfg, x.sample_rate)):
             if len(modes) > len(imf_acc):
                 imf_acc = np.vstack((imf_acc, np.zeros((len(modes) - len(imf_acc), x.n))))

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .core import Decomposition, SampledSignal, Variant, _unit_stack
-from .emd import SiftConfig, _extract_modes, sift_one_imf
+from .emd import SiftConfig, _modes_by_call
 from .memd import MultivariateDecomposition, MultivariateSignal, _multivariate_modes
 
 #: Residue energy below this fraction of the stage input energy triggers
@@ -53,8 +53,8 @@ def orthogonalize_stage(imf: SampledSignal, residue: SampledSignal) -> LinoepSta
 
 
 def _linoep_stage(alphas: list, imf: SampledSignal, residue: SampledSignal):
-    """One EPEMD stage of ``_extract_modes`` or ``_extract_rows``: the
-    orthogonal pair, with its alpha appended to ``alphas``."""
+    """One EPEMD stage of ``emd._modes``: the orthogonal pair, with its
+    alpha appended to ``alphas``."""
     st = orthogonalize_stage(imf, residue)
     alphas.append(st.alpha)
     return st.epimf, st.residue_out
@@ -68,8 +68,7 @@ def epemd(x: SampledSignal, cfg: SiftConfig = SiftConfig()) -> Decomposition:
     the adjusted residue. Per-stage alphas are kept in ``diagnostics``.
     """
     alphas: list[float] = []
-    components, residue = _extract_modes(x, partial(sift_one_imf, cfg=cfg),
-                                         partial(_linoep_stage, alphas), cfg.max_imfs)
+    components, residue = _modes_by_call(x, cfg, partial(_linoep_stage, alphas))
     return Decomposition(components, residue, Variant.EPEMD,
                          diagnostics={"alphas": alphas})
 

@@ -26,7 +26,7 @@ from .core import (
     Variant,
     _unit_exponent,
 )
-from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _drive, _extract_modes, _sift, emd
+from .emd import _ROUNDING_NOISE, SiftConfig, _below_normal, _drive, _modes, _sift, emd
 from .envelope import _envelope_extrema, cubic_spline
 
 #: Stoppage ratio: mean-envelope max-norm over mode max-norm.
@@ -294,18 +294,16 @@ def _multivariate_modes(x: MultivariateSignal, K: int, cfg: SiftConfig, variant:
     np.ldexp(data, k, out=data)
     floor = max(NEGLIGIBLE_RESIDUE_THRESHOLD * float(np.abs(data).max()), np.finfo(float).tiny)
 
+    def sift(work):
+        if float(np.abs(work).max()) <= floor:
+            raise NoEnvelopeError("the residue is negligible or below the normal range")
+        return (yield from _sift(work, cfg, _ratio_stop))
+
     workers = _fork.worker_count(x.n, K if K * x.n * x.n_channels >= _FORK_MIN_WORK else 1)
     with _fork.forked(partial(_serve_directions, dirs.directions),
                       _fork.shares(K, workers)[1:]) as pipes:
-
-        def extract(work):
-            if float(np.abs(work).max()) <= floor:
-                raise NoEnvelopeError("the residue is negligible or below the normal range")
-            return _drive(_sift(work, cfg, _ratio_stop),
-                          lambda h: multivariate_mean_envelope(x.from_array(h), dirs, pipes),
-                          np.asarray)  # the pair stays a pair of matrices
-
-        modes, residue = _extract_modes(data, extract, stage, cfg.max_imfs)
+        modes, residue = _drive(_modes(data, sift, stage, cfg.max_imfs),
+                                lambda h: multivariate_mean_envelope(x.from_array(h), dirs, pipes))
     return MultivariateDecomposition(tuple(
         Decomposition(tuple(ch.with_samples(np.ldexp(m[:, j], -k)) for m in modes),
                       ch.with_samples(np.ldexp(residue[:, j], -k)), variant)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _fork
 from .core import Decomposition, PeriodUndefinedError, SampledSignal, Variant, _unit_stack
-from .emd import SiftConfig, _batch, _extract_rows, _row_batches, _trial_rng, zero_crossing_count
+from .emd import SiftConfig, _extract_rows, _row_batches, _trial_noise, zero_crossing_count
 from .epemd import _linoep_stage
 from .gsom import GRAM_SCHMIDT_VARIANTS, orthogonal_variants
 
@@ -76,9 +76,9 @@ def _batch_points(length: int, decomposer: Variant, seed: int, sample_rate: floa
                   cfg: SiftConfig, starts: range, start: int) -> list[tuple[float, float]]:
     """(mean period, energy density) of each periodic component of the trials
     of the lockstep batch of ``starts`` at ``start``."""
-    rows = np.array([_trial_rng(seed, i).standard_normal(length) for i in _batch(starts, start)])
     points = []
-    for d in _decompose_variant(rows, decomposer, cfg, sample_rate):
+    for d in _decompose_variant(_trial_noise(seed, length, starts, start), decomposer, cfg,
+                                sample_rate):
         for imf in d.imfs:
             try:
                 pt = imf_statistics(imf)

@@ -26,11 +26,11 @@ def fft_peak_hz(x: SampledSignal) -> float:
     return float(freqs[int(np.argmax(spectrum))])
 
 
-def fresh_process(code: str) -> int:
+def fresh_process(code: str, **env: str) -> int:
     """Exit status of ``python -c code`` in a fresh interpreter that imports
-    this emdkit."""
+    this emdkit, with ``env`` added to its environment."""
     src = str(Path(emdkit.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, **env, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code], env=env).returncode
 
 

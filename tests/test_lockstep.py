@@ -23,7 +23,7 @@ from conftest import fresh_process
 from emdkit import (EemdConfig, NoEnvelopeError, SampledSignal, SiftConfig, Variant,
                     build_envelopes, cubic_spline, eemd, emd, epemd, orthogonal_variants,
                     white_noise_band)
-from emdkit.emd import _extract_rows, _trial_rng
+from emdkit.emd import _trial_rng
 from emdkit.envelope import (_envelope_knots, _envelopes, _grid_pair,
                              _natural_second_derivatives)
 from emdkit.gsom import GRAM_SCHMIDT_VARIANTS
@@ -90,16 +90,18 @@ def test_every_kind_in_one_batch(n, cfg):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS)
-def test_rows_log_every_sift_as_emd_does(cfg, caplog):
-    # Each sift that ends in a mode, however it is driven, logs its count.
+@pytest.mark.parametrize("variant, alone", [(Variant.EMD, emd), (Variant.EPEMD, epemd)])
+def test_rows_log_every_sift_as_emd_does(variant, alone, cfg, caplog):
+    # Each sift that ends in a mode, however it is driven, logs its count:
+    # EPEMD's rows, whose stage replaces each pair, as epemd of the row.
     rng = np.random.default_rng(11)
     rows = np.array([_row(k, 300, rng) for k in KINDS])
     caplog.set_level(logging.DEBUG, logger="emdkit.emd")
-    _extract_rows(rows, cfg, 1.0)
+    _decompose_variant(rows, variant, cfg, 1.0)
     batch = Counter(r.getMessage() for r in caplog.records)
     caplog.clear()
     for v in rows:
-        emd(SampledSignal(v, 1.0), cfg)
+        alone(SampledSignal(v, 1.0), cfg)
     assert batch == Counter(r.getMessage() for r in caplog.records)
     assert sum(batch.values()) > len(KINDS)
 

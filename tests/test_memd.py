@@ -501,32 +501,33 @@ def _sifted(monkeypatch, decompose, x, K, cfg, reference):
     last, which ends the loop, included) and the reference's subtraction
     count per sift."""
     builds, subtractions = [], []
-    envelope, modes_loop = memd_module.multivariate_mean_envelope, memd_module._extract_modes
+    envelope, modes_loop = memd_module.multivariate_mean_envelope, memd_module._modes
 
     def counted_envelope(*args):
         builds[-1] += 1
         return envelope(*args)
 
-    def extract_modes(start, extract, stage, max_imfs):
+    def modes(start, sift, stage, max_imfs):
         if reference:
             dirs = hammersley_directions(x.n_channels, K)
             floor = max(memd_module.NEGLIGIBLE_RESIDUE_THRESHOLD * float(
                 np.abs(start).max()), np.finfo(float).tiny)
 
-            def extract(work):
+            def sift(work):  # builds its own envelopes, so yields nothing
                 if float(np.abs(work).max()) <= floor:
                     raise NoEnvelopeError("the residue is negligible")
                 return _old_sift(x, work, dirs, cfg, subtractions)
+                yield
 
-        def counted_extract(work):
+        def counted_sift(work):
             builds.append(0)
-            return extract(work)
+            return (yield from sift(work))
 
-        return modes_loop(start, counted_extract, stage, max_imfs)
+        return modes_loop(start, counted_sift, stage, max_imfs)
 
     with monkeypatch.context() as m:
         m.setattr(memd_module, "multivariate_mean_envelope", counted_envelope)
-        m.setattr(memd_module, "_extract_modes", extract_modes)
+        m.setattr(memd_module, "_modes", modes)
         d = decompose(x, K, cfg)
     return d, builds, subtractions
 
